@@ -17,10 +17,6 @@ backends are always registered:
     canonical digest (the backend name is folded into cache keys and
     sweep digests so they can never collide with canonical results).
 
-``cupy`` and ``torch`` register themselves only when the library
-imports; :func:`available_backends` reports what this process actually
-has.  Both are tolerance-gated like ``numpy32``.
-
 Kernels accept ``backend=None`` meaning "the current default"
 (``numpy64`` unless :func:`using_backend` overrides it).
 """
@@ -51,9 +47,8 @@ DEFAULT_RTOL = 1e-4
 class ArrayBackend:
     """One array namespace plus its dtype policy and tolerance contract.
 
-    ``xp`` is a numpy-compatible module (numpy itself, cupy, or a thin
-    adapter); ``float_dtype`` is the dtype every batched kernel computes
-    in; ``canonical`` marks the single backend whose results are
+    ``xp`` is a numpy-compatible module; ``float_dtype`` is the dtype
+    every batched kernel computes in; ``canonical`` marks the single backend whose results are
     bit-identical to serial float64 and therefore digest-eligible;
     ``rtol`` maps kernel names (``"torus_distance"``,
     ``"contact_probability"``, ``"scheme_rate"``) to the relative
@@ -102,8 +97,7 @@ def get_backend(name: str) -> ArrayBackend:
     """The registered backend called ``name``.
 
     Raises ``KeyError`` naming the available backends when ``name`` is
-    unknown (including optional backends whose library is not
-    installed).
+    unknown.
     """
     try:
         return _REGISTRY[name]
@@ -153,79 +147,6 @@ register_backend(
     )
 )
 
-
-def _register_cupy() -> Optional[ArrayBackend]:
-    """Register the cupy backend when cupy imports; None otherwise."""
-    try:
-        import cupy  # noqa: F401 -- optional GPU dependency
-    except ImportError:
-        return None
-
-    class _CupyBackend(ArrayBackend):
-        def from_device(self, array) -> np.ndarray:
-            return cupy.asnumpy(array)
-
-    return register_backend(
-        _CupyBackend(
-            name="cupy",
-            xp=cupy,
-            float_dtype="float64",
-            rtol={
-                "torus_distance": 1e-9,
-                "contact_probability": 1e-9,
-                "scheme_rate": 1e-9,
-            },
-        )
-    )
-
-
-def _register_torch() -> Optional[ArrayBackend]:
-    """Register the torch backend when torch imports; None otherwise.
-
-    Torch is not numpy-API compatible, so ``xp`` is a minimal adapter
-    covering exactly the operations the batched kernels use.
-    """
-    try:
-        import torch
-    except ImportError:
-        return None
-
-    class _TorchNamespace:
-        """The numpy-ish subset the batched distance kernels call."""
-
-        @staticmethod
-        def asarray(array, dtype=None):
-            if isinstance(array, torch.Tensor):
-                return array.to(dtype) if dtype is not None else array
-            tensor = torch.from_numpy(np.ascontiguousarray(array))
-            return tensor.to(dtype) if dtype is not None else tensor
-
-        round = staticmethod(torch.round)
-        sqrt = staticmethod(torch.sqrt)
-        where = staticmethod(torch.where)
-
-    class _TorchBackend(ArrayBackend):
-        def from_device(self, array) -> np.ndarray:
-            if isinstance(array, torch.Tensor):
-                return array.detach().cpu().numpy()
-            return np.asarray(array)
-
-    return register_backend(
-        _TorchBackend(
-            name="torch",
-            xp=_TorchNamespace(),
-            float_dtype=torch.float64,
-            rtol={
-                "torus_distance": 1e-9,
-                "contact_probability": 1e-9,
-                "scheme_rate": 1e-9,
-            },
-        )
-    )
-
-
-_register_cupy()
-_register_torch()
 
 _current_backend: ArrayBackend = default_backend()
 

@@ -420,7 +420,7 @@ def sweep_capacity(
     sweep digest -- are bit-identical to the per-trial path at any worker
     count.  ``backend`` selects a registered array backend
     (:func:`repro.backend.available_backends`); non-canonical backends
-    (``numpy32``, ``cupy``, ``torch``) are tolerance-gated, require
+    (``numpy32``) are tolerance-gated, require
     ``batch_trials`` (only the batched kernels are backend-aware), fold
     into the trial cache keys, and stamp :attr:`SweepResult.backend` so
     their digests never collide with canonical results.

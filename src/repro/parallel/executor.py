@@ -3,33 +3,33 @@
 :class:`~repro.parallel.runner.TrialRunner` owns the *semantics* of a sweep
 -- deterministic per-trial seeding, retries, validation, caching, telemetry
 -- while a :class:`SweepExecutor` owns *where* the trials actually execute.
-``TrialRunner.run`` and ``TrialRunner.run_batched`` delegate to the
-runner's configured executor:
+``TrialRunner.run`` and ``TrialRunner.run_batched`` share one guarded
+path: the runner serves cache hits, spawns the seeds and groups the rest
+into *units* -- single trials, or whole batches each run as one composite
+trial -- and its executor executes only those remaining units:
 
 - :class:`InProcessExecutor` (the default) executes through the runner's
   own machinery: inline in this process, or fanned out over its
-  ``ProcessPoolExecutor`` -- exactly the historical behaviour.
+  ``ProcessPoolExecutor``.
 - :class:`repro.fabric.FabricExecutor` leases content-addressed trial
   shards to registered worker *agents* over localhost sockets, rebalances
-  on agent failure, and degrades to an :class:`InProcessExecutor` when no
+  on agent failure, and degrades to the runner's local machinery when no
   agents are reachable.
 
 The contract every executor must keep (verified by the fabric chaos tests
-against the in-process reference): results ordered by trial index, cache
-hits served before any execution, per-trial seeds derived from
-``SeedSequence(seed).spawn(count)`` by index (or taken verbatim from
-``seed_seqs``), fresh values validated and journaled as they complete, and
-``runner.last_stats`` populated -- so a sweep's digest is bit-identical no
-matter which executor ran it.
+against the in-process reference): every member of every unit ends with a
+result recorded through the runner's shared helpers, which validate and
+journal fresh values, so a sweep's digest is bit-identical no matter which
+executor ran it.  Ordering by trial index and ``runner.last_stats`` are
+the runner's job.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .batch import BatchedTrialPlan
-    from .runner import TrialResult, TrialRunner
+    from .runner import TrialRunner, _Job
 
 __all__ = ["InProcessExecutor", "SweepExecutor"]
 
@@ -46,71 +46,25 @@ class SweepExecutor:
     #: Short stable name for logs, manifests and telemetry.
     name: str = "executor"
 
-    def run(
-        self,
-        runner: "TrialRunner",
-        payloads: Sequence[Any],
-        seed: int,
-        submission_order: Optional[Sequence[int]] = None,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-        seed_seqs: Optional[Sequence[Any]] = None,
-    ) -> List["TrialResult"]:
-        """Execute one trial per payload; results ordered by trial index."""
-        raise NotImplementedError
-
-    def run_batched(
-        self,
-        runner: "TrialRunner",
-        payloads: Sequence[Any],
-        batch_fn: Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]],
-        plan: "BatchedTrialPlan",
-        seed: int,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> List["TrialResult"]:
-        """Execute trials grouped into same-shape batches (see
-        :meth:`TrialRunner.run_batched`)."""
+    def execute(self, runner: "TrialRunner", job: "_Job") -> Tuple[int, bool]:
+        """Execute ``job.units`` -- the trials (or batches) no cache hit
+        answered -- recording every member's result in ``job.results``;
+        returns ``(pool rebuilds, degraded)``."""
         raise NotImplementedError
 
 
 class InProcessExecutor(SweepExecutor):
     """The default substrate: this process's pool (or inline execution).
 
-    A stateless pass-through to the runner's historical machinery; one
-    shared instance (:data:`IN_PROCESS`) serves every runner without a
-    configured executor.
+    A stateless pass-through to the runner's local machinery; one shared
+    instance (:data:`IN_PROCESS`) serves every runner without a configured
+    executor.
     """
 
     name = "in-process"
 
-    def run(
-        self,
-        runner: "TrialRunner",
-        payloads: Sequence[Any],
-        seed: int,
-        submission_order: Optional[Sequence[int]] = None,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-        seed_seqs: Optional[Sequence[Any]] = None,
-    ) -> List["TrialResult"]:
-        return runner._run_guarded(
-            payloads, seed, submission_order, cache, keys, seed_seqs
-        )
-
-    def run_batched(
-        self,
-        runner: "TrialRunner",
-        payloads: Sequence[Any],
-        batch_fn: Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]],
-        plan: "BatchedTrialPlan",
-        seed: int,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> List["TrialResult"]:
-        return runner._run_batched_guarded(
-            payloads, batch_fn, plan, seed, cache, keys
-        )
+    def execute(self, runner: "TrialRunner", job: "_Job") -> Tuple[int, bool]:
+        return runner._execute_local(job, job.units)
 
 
 #: The shared default executor (stateless, so one instance is enough).

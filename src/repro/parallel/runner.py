@@ -14,39 +14,52 @@ panels, the convergence studies) is an average over independent trials.  The
   serial sweep exactly.
 - Results are returned ordered by trial index, not completion order.
 
-Fault handling (each mechanism is exercised by
-``tests/test_trial_runner_faults.py`` and ``tests/test_resilience_faults.py``):
+One guarded path executes everything.  :meth:`TrialRunner.run` and
+:meth:`TrialRunner.run_batched` both serve cache hits, spawn the seeds and
+group the remaining trials into *units*: a single trial, or one batch of a
+:class:`~repro.parallel.batch.BatchedTrialPlan` run as one composite trial
+whose value list is scattered back per member.  The unit is the unit of
+execution and retry; validation, journaling and telemetry stay per trial.
 
-- A failing trial is retried under a configurable
+Fault handling (each mechanism is exercised by
+``tests/test_trial_runner_faults.py``, ``tests/test_resilience_faults.py``
+and, for batches, ``tests/test_batched_runner.py``):
+
+- A failing unit is retried under a configurable
   :class:`~repro.resilience.RetryPolicy` (max attempts, exponential backoff
-  with deterministic per-trial jitter, retry-on predicates per error kind;
+  with deterministic per-unit jitter, retry-on predicates per error kind;
   the legacy ``retries=N`` knob maps to ``max_attempts=N+1`` with no
-  backoff) and then surfaced as a structured :class:`TrialError`.
-- A per-trial ``timeout`` is enforced *inside* the worker with ``SIGALRM``
+  backoff) and then surfaced as one structured :class:`TrialError` per
+  member (``batch of N:``-prefixed when a whole batch failed).
+- A per-unit ``timeout`` is enforced *inside* the worker with ``SIGALRM``
   (POSIX), so a stuck trial is interrupted without poisoning the pool;
   a second, harder deadline in the parent terminates the worker processes
-  if the alarm itself is ignored.  Either way the trial is retried per the
+  if the alarm itself is ignored.  Either way the unit is retried per the
   policy and then reported with ``kind="timeout"``.
-- A worker killed mid-trial breaks the pool
+- A worker killed mid-unit breaks the pool
   (:class:`~concurrent.futures.process.BrokenProcessPool`); the runner
-  rebuilds the pool, re-queues every in-flight trial and reports
-  unrecoverable trials with ``kind="worker-crash"`` instead of hanging.
+  rebuilds the pool, re-queues every in-flight unit and reports
+  unrecoverable ones with ``kind="worker-crash"`` instead of hanging.
   A :class:`~repro.resilience.PoolSupervisor` watches the rebuild rate:
   once a **crash storm** is detected (``max_rebuilds`` rebuilds inside
-  ``rebuild_window_seconds``), payloads implicated in repeated crashes are
-  quarantined (``kind="quarantined"``) and the remaining trials degrade
-  gracefully to inline serial execution instead of livelocking on
-  rebuilds -- emitting ``pool_rebuilt`` and ``degraded_to_serial``
-  telemetry along the way.
-- A ``validator`` runs in the parent on every fresh value: NaN/inf/negative
-  throughput becomes ``kind="invalid_result"`` instead of polluting sweep
-  aggregates.  A value the store journal refuses to serialize is surfaced
-  the same way; a journal *IO* error only degrades durability (logged,
-  value kept).
+  ``rebuild_window_seconds``), units implicated in repeated crashes are
+  quarantined (``kind="quarantined"``) and the rest degrade gracefully
+  to inline serial execution instead of livelocking on rebuilds --
+  emitting ``pool_rebuilt`` and ``degraded_to_serial`` telemetry along
+  the way.
+- A ``validator`` runs in the parent on every fresh member value:
+  NaN/inf/negative throughput fails the attempt with
+  ``kind="invalid_result"`` (a batch also fails it by returning the wrong
+  number of values) instead of polluting sweep aggregates; on the final
+  attempt only the invalid members fail.  A value the store journal
+  refuses to serialize is surfaced the same way; a journal *IO* error
+  only degrades durability (logged, value kept).
 - A :class:`~repro.resilience.FaultPlan` injects deterministic faults
   (raise / hang / kill / NaN / journal-IO) keyed by ``(trial index,
-  attempt)`` for bit-reproducible chaos testing; each armed fault is
-  announced with a ``fault_injected`` event from the parent.
+  attempt)`` for bit-reproducible chaos testing.  Each attempt of a unit
+  is armed with the fault of its lowest-indexed member that has one
+  (journal-IO faults fire per member at journal time), announced with a
+  ``fault_injected`` event from the parent.
 
 The trial callable must be picklable (a module-level function) with
 signature ``trial_fn(rng, payload) -> value`` and the value must be
@@ -209,16 +222,23 @@ def _raise_trial_timeout(signum, frame):
     raise _TrialTimeout()
 
 
-def _execute_trial(trial_fn, index, seed_seq, payload, timeout, inject=None):
-    """Run one trial (worker side) and return a structured outcome tuple.
+def _execute_trial(fn, index, seed, payload, timeout, inject=None, width=None):
+    """Run one unit (worker side) and return a structured outcome tuple.
+
+    A single trial (``width=None``) calls ``fn(rng, payload)`` with the
+    generator built from ``seed``; a batch of ``width`` members calls
+    ``fn(seeds, payloads)`` with the members' seed sequences and payloads
+    and must return one value per member.  The outcome is ``(status,
+    index, value or message, elapsed seconds, traceback)`` with status
+    ``"ok"``, ``"timeout"`` or ``"exception"``.
 
     Exceptions are converted to tuples rather than raised so arbitrary
     (possibly unpicklable) exception types never cross the process boundary.
 
     ``inject`` applies one deterministic fault (see
     :class:`repro.resilience.FaultPlan`): ``raise`` / ``hang`` / ``kill``
-    replace the trial body; ``nan`` short-circuits to a NaN value that the
-    parent-side validation boundary will reject.
+    replace the body; ``nan`` short-circuits to NaN (one per member of a
+    batch) that the parent-side validation boundary will reject.
     """
     start = time.perf_counter()
     previous_handler = None
@@ -226,7 +246,6 @@ def _execute_trial(trial_fn, index, seed_seq, payload, timeout, inject=None):
         previous_handler = signal.signal(signal.SIGALRM, _raise_trial_timeout)
         signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        rng = np.random.default_rng(seed_seq)
         if inject == "raise":
             raise RuntimeError(f"injected fault: trial {index} raises")
         if inject == "hang":
@@ -235,26 +254,27 @@ def _execute_trial(trial_fn, index, seed_seq, payload, timeout, inject=None):
         if inject == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         if inject == "nan":
-            return ("ok", index, float("nan"), time.perf_counter() - start, "")
-        value = trial_fn(rng, payload)
+            value = float("nan") if width is None else [float("nan")] * width
+        elif width is None:
+            value = fn(np.random.default_rng(seed), payload)
+        else:
+            value = fn(seed, payload)
         return ("ok", index, value, time.perf_counter() - start, "")
     except _TrialTimeout:
         return (
             "timeout",
             index,
-            None,
             f"trial exceeded {timeout} s",
-            "",
             time.perf_counter() - start,
+            "",
         )
     except Exception as exc:  # noqa: BLE001 - converted to structured error
         return (
             "exception",
             index,
-            None,
             f"{type(exc).__name__}: {exc}",
-            traceback_module.format_exc(),
             time.perf_counter() - start,
+            traceback_module.format_exc(),
         )
     finally:
         if timeout is not None:
@@ -369,15 +389,31 @@ class _Emitter:
             self._progress()
 
 
-def _execute_batch(rng, batch_payload):
-    """Inner trial body of one batch (module-level so it pickles).
+@dataclass
+class _Job:
+    """One guarded run, shared by the runner and the executor serving it.
 
-    ``batch_payload`` is ``(batch_fn, seed_seqs, member_payloads)``; the
-    runner-provided ``rng`` is unused -- every member derives its stream
-    from its own full-count-spawned seed, exactly as a serial run would.
+    The runner builds it -- cache hits served into ``results``, seeds
+    spawned, the rest grouped into ``units`` -- and an executor executes
+    the units through the runner's shared helpers, which fill ``results``.
+    A unit is a tuple of trial indices: one trial, or, when ``batched``,
+    one batch run as a single composite trial whose value list is
+    scattered back per member.  Its first member is its identity: the
+    key of its attempt count, fault lookup and backoff jitter.
     """
-    batch_fn, seed_seqs, members = batch_payload
-    return batch_fn(seed_seqs, members)
+
+    #: ``trial_fn(rng, payload)``, or ``batch_fn(seed_seqs, payloads)``.
+    fn: Callable[..., Any]
+    batched: bool
+    payloads: List[Any]
+    #: The master seed (``None`` when the caller supplied ``seed_seqs``).
+    seed: Optional[int]
+    seeds: Sequence[Any]
+    cache: Optional[Any]
+    keys: Optional[Sequence[Optional[str]]]
+    results: List[Optional[TrialResult]]
+    emitter: _Emitter
+    units: List[Tuple[int, ...]]
 
 
 class TrialRunner:
@@ -393,12 +429,13 @@ class TrialRunner:
         uses a :class:`ProcessPoolExecutor` with that many workers.  The
         results are bit-identical either way.
     timeout:
-        Optional per-trial wall-clock deadline in seconds.
+        Optional per-trial (per-batch, for :meth:`run_batched`) wall-clock
+        deadline in seconds.
     retries:
         Legacy knob: extra attempts granted to a failing trial (default 1,
         i.e. two attempts total).  Ignored when ``retry_policy`` is given.
     chunk_size:
-        In pool mode at most ``workers * chunk_size`` trials are in flight
+        In pool mode at most ``workers * chunk_size`` units are in flight
         at once, bounding memory for very long sweeps.
     telemetry:
         Optional :class:`~repro.observability.events.Telemetry` sink for
@@ -426,18 +463,18 @@ class TrialRunner:
         degrades to inline serial execution.
     executor:
         The :class:`~repro.parallel.executor.SweepExecutor` substrate that
-        :meth:`run` / :meth:`run_batched` delegate to.  ``None`` (the
-        default) uses the in-process executor -- inline or this runner's
-        own worker pool, the historical behaviour.  A
-        :class:`repro.fabric.FabricExecutor` instead leases trial shards
-        to worker agents and rebalances on agent failure.
+        executes the units of :meth:`run` / :meth:`run_batched`.  ``None``
+        (the default) uses the in-process executor -- inline or this
+        runner's own worker pool.  A :class:`repro.fabric.FabricExecutor`
+        instead leases trial shards to worker agents and rebalances on
+        agent failure.
     """
 
     #: Extra parent-side slack (seconds) on top of ``timeout`` before the
     #: pool is forcibly recycled because a worker ignored its alarm.
     HARD_TIMEOUT_GRACE = 5.0
 
-    #: Crashes a single trial must accumulate (across pool rebuilds) to be
+    #: Crashes a single unit must accumulate (across pool rebuilds) to be
     #: quarantined when a crash storm is declared.  Two crashes separate a
     #: systematically crashing payload from an innocent bystander that was
     #: merely in flight when someone else's worker died.
@@ -558,91 +595,13 @@ class TrialRunner:
         worker-count-independent streams.
         """
         try:
-            return self._executor.run(
-                self, payloads, seed, submission_order, cache, keys,
-                seed_seqs,
+            return self._run(
+                payloads, seed, cache, keys, seed_seqs=seed_seqs,
+                order=submission_order,
             )
         finally:
             if shared is not None:
                 shared.unlink_all()
-
-    def _run_guarded(
-        self, payloads, seed, submission_order, cache, keys, seed_seqs=None
-    ) -> List[TrialResult]:
-        payloads = list(payloads)
-        count = len(payloads)
-        if keys is not None and len(keys) != count:
-            raise ValueError(
-                f"need one key per payload: {len(keys)} keys, {count} payloads"
-            )
-        if count == 0:
-            self._last_stats = TrialStats(0, 0, 0, 0.0, self._workers)
-            return []
-        order = list(range(count)) if submission_order is None else list(submission_order)
-        if sorted(order) != list(range(count)):
-            raise ValueError("submission_order must be a permutation of the trial indices")
-        start = time.perf_counter()
-        sink = self._telemetry if self._telemetry is not None else _events.get_telemetry()
-        emitter = _Emitter(sink, count)
-        emitter.begin()
-        _log.debug(
-            "running %d trial(s) (%s, %d cache key(s))",
-            count,
-            "inline" if self._workers is None else f"{self._workers} workers",
-            sum(1 for key in keys or [] if key is not None),
-        )
-        results: List[Optional[TrialResult]] = [None] * count
-        if cache is not None and keys is not None:
-            for index in range(count):
-                if keys[index] is None:
-                    continue
-                hit = cache.get(keys[index])
-                if hit is not None:
-                    results[index] = TrialResult(
-                        index=index,
-                        value=hit.value,
-                        attempts=0,
-                        duration=hit.duration,
-                        cached=True,
-                    )
-                    emitter.cache_hit(results[index])
-        cache_hits = sum(1 for r in results if r is not None)
-        remaining = [index for index in order if results[index] is None]
-        pool_rebuilds = 0
-        degraded = False
-        if remaining:
-            if seed_seqs is not None:
-                if len(seed_seqs) != count:
-                    raise ValueError(
-                        f"need one seed sequence per payload: "
-                        f"{len(seed_seqs)} seeds, {count} payloads"
-                    )
-                seeds = list(seed_seqs)
-            else:
-                seeds = np.random.SeedSequence(seed).spawn(count)
-            if self._workers is None:
-                self._run_inline(
-                    payloads, seeds, remaining, results, cache, keys, emitter
-                )
-            else:
-                pool_rebuilds, degraded = self._run_pool(
-                    payloads, seeds, remaining, results, cache, keys, emitter
-                )
-        elapsed = time.perf_counter() - start
-        failures = sum(1 for r in results if not r.ok)
-        retries = sum(max(r.attempts - 1, 0) for r in results)
-        self._last_stats = TrialStats(
-            trials=count,
-            failures=failures,
-            retries=retries,
-            elapsed_seconds=elapsed,
-            workers=self._workers,
-            cache_hits=cache_hits,
-            pool_rebuilds=pool_rebuilds,
-            degraded=degraded,
-        )
-        _log.debug("run complete: %s", self._last_stats.summary())
-        return results  # type: ignore[return-value]
 
     def run_batched(
         self,
@@ -661,46 +620,56 @@ class TrialRunner:
         values`` (module-level, picklable) executes one whole batch and
         returns one value per member, in member order.
 
-        The contract matches :meth:`run` exactly: cache hits are served
-        per *member* before any batch executes, seeds are spawned for the
-        full payload list by trial index (each member receives the same
-        ``SeedSequence`` a serial run would), fresh member values are
-        validated and journaled individually, and results come back
-        ordered by trial index.  A batch is the unit of execution and
-        failure -- retry, timeout and crash handling apply to whole
-        batches through the same pool machinery as :meth:`run`, and a
-        batch that fails for good surfaces one :class:`TrialError` per
-        member.  Member durations report the batch duration split evenly
-        (the journaled per-trial cost a later cached run replays).
+        Each batch's uncached members run as one composite trial through
+        the same guarded path as :meth:`run`: cache hits are served per
+        member first, every member receives the ``SeedSequence`` a serial
+        run would hand it, and retry, fault injection, timeout, crash and
+        quarantine handling apply to the batch as a whole.  A batch that
+        returns the wrong number of values, or any member value that fails
+        validation, fails the attempt; the final attempt is scattered per
+        member -- each valid value journaled on its own, each failure a
+        :class:`TrialError` (``batch of N:``-prefixed when the whole batch
+        failed).  Member durations split the batch duration evenly (the
+        journaled per-trial cost a later cached run replays).
         """
         from .batch import BatchedTrialPlan  # local: avoid import cycle
 
         if not isinstance(plan, BatchedTrialPlan):
             raise TypeError(f"plan must be a BatchedTrialPlan, got {type(plan)}")
         try:
-            return self._executor.run_batched(
-                self, payloads, batch_fn, plan, seed, cache, keys
+            return self._run(
+                payloads, seed, cache, keys, batch_fn=batch_fn, plan=plan
             )
         finally:
             if shared is not None:
                 shared.unlink_all()
 
-    def _run_batched_guarded(
-        self, payloads, batch_fn, plan, seed, cache, keys
+    def _run(
+        self, payloads, seed, cache, keys, seed_seqs=None, order=None,
+        batch_fn=None, plan=None,
     ) -> List[TrialResult]:
+        """The one guarded path: cache prologue, executor, stats epilogue."""
         payloads = list(payloads)
         count = len(payloads)
         if keys is not None and len(keys) != count:
             raise ValueError(
                 f"need one key per payload: {len(keys)} keys, {count} payloads"
             )
-        if not plan.covers(count):
+        if seed_seqs is not None and len(seed_seqs) != count:
+            raise ValueError(
+                f"need one seed sequence per payload: "
+                f"{len(seed_seqs)} seeds, {count} payloads"
+            )
+        if plan is not None and not plan.covers(count):
             raise ValueError(
                 f"plan does not partition the {count} payload indices"
             )
         if count == 0:
             self._last_stats = TrialStats(0, 0, 0, 0.0, self._workers)
             return []
+        order = list(range(count)) if order is None else list(order)
+        if sorted(order) != list(range(count)):
+            raise ValueError("submission_order must be a permutation of the trial indices")
         start = time.perf_counter()
         sink = self._telemetry if self._telemetry is not None else _events.get_telemetry()
         emitter = _Emitter(sink, count)
@@ -721,138 +690,56 @@ class TrialRunner:
                     )
                     emitter.cache_hit(results[index])
         cache_hits = sum(1 for r in results if r is not None)
-        seeds = np.random.SeedSequence(seed).spawn(count)
-        live: List = []  # (member indices, batch payload)
-        for batch in plan.batches:
-            members = [i for i in batch.indices if results[i] is None]
-            if not members:
-                continue
-            live.append(
-                (
-                    members,
-                    (
-                        batch_fn,
-                        [seeds[i] for i in members],
-                        [payloads[i] for i in members],
-                    ),
+        if plan is None:
+            units = [(index,) for index in order if results[index] is None]
+        else:
+            units = [
+                members
+                for members in (
+                    tuple(i for i in batch.indices if results[i] is None)
+                    for batch in plan.batches
                 )
-            )
+                if members
+            ]
         _log.debug(
-            "running %d trial(s) as %d batch(es) (max width %d, %s)",
+            "running %d trial(s) as %d unit(s) (%s, %d cache hit(s))",
             count - cache_hits,
-            len(live),
-            max((len(m) for m, _p in live), default=0),
+            len(units),
             "inline" if self._workers is None else f"{self._workers} workers",
+            cache_hits,
         )
         pool_rebuilds = 0
         degraded = False
-        failures = 0
-        retries = 0
-        if live:
-            inner = TrialRunner(
-                _execute_batch,
-                workers=self._workers,
-                timeout=self._timeout,
-                chunk_size=self._chunk_size,
-                telemetry=_events.NullTelemetry(),
-                retry_policy=self._policy,
-                max_rebuilds=self._max_rebuilds,
-                rebuild_window_seconds=self._rebuild_window,
+        if units:
+            job = _Job(
+                fn=self._trial_fn if plan is None else batch_fn,
+                batched=plan is not None,
+                payloads=payloads,
+                seed=None if seed_seqs is not None else seed,
+                seeds=(
+                    list(seed_seqs)
+                    if seed_seqs is not None
+                    else np.random.SeedSequence(seed).spawn(count)
+                ),
+                cache=cache,
+                keys=keys,
+                results=results,
+                emitter=emitter,
+                units=units,
             )
-            batch_results = inner.run(
-                [payload for _members, payload in live], seed=seed
-            )
-            inner_stats = inner.last_stats
-            pool_rebuilds = inner_stats.pool_rebuilds if inner_stats else 0
-            degraded = inner_stats.degraded if inner_stats else False
-            for (members, _payload), batch_result in zip(live, batch_results):
-                width = len(members)
-                retries += max(batch_result.attempts - 1, 0) * width
-                values = batch_result.value if batch_result.ok else None
-                if batch_result.ok and (
-                    not isinstance(values, (list, tuple))
-                    or len(values) != width
-                ):
-                    values = None
-                    batch_result = TrialResult(
-                        index=batch_result.index,
-                        value=None,
-                        attempts=batch_result.attempts,
-                        duration=0.0,
-                        error=TrialError(
-                            trial_index=batch_result.index,
-                            kind="invalid_result",
-                            message=(
-                                f"batch returned {type(batch_result.value).__name__} "
-                                f"instead of {width} member value(s)"
-                            ),
-                            attempts=batch_result.attempts,
-                        ),
-                    )
-                for position, index in enumerate(members):
-                    emitter.started(index, max(batch_result.attempts, 1))
-                    if values is None:
-                        error = batch_result.error
-                        results[index] = TrialResult(
-                            index=index,
-                            value=None,
-                            attempts=batch_result.attempts,
-                            duration=0.0,
-                            error=TrialError(
-                                trial_index=index,
-                                kind=error.kind,
-                                message=f"batch of {width}: {error.message}",
-                                attempts=error.attempts,
-                                traceback=error.traceback,
-                                elapsed_seconds=error.elapsed_seconds,
-                            ),
-                        )
-                    else:
-                        value = values[position]
-                        message = (
-                            self._validator(value)
-                            if self._validator is not None
-                            else None
-                        )
-                        if message is not None:
-                            results[index] = TrialResult(
-                                index=index,
-                                value=None,
-                                attempts=batch_result.attempts,
-                                duration=0.0,
-                                error=TrialError(
-                                    trial_index=index,
-                                    kind="invalid_result",
-                                    message=message,
-                                    attempts=batch_result.attempts,
-                                ),
-                            )
-                        else:
-                            results[index] = self._journal(
-                                cache,
-                                keys,
-                                TrialResult(
-                                    index=index,
-                                    value=value,
-                                    attempts=batch_result.attempts,
-                                    duration=batch_result.duration / width,
-                                ),
-                                emitter,
-                            )
-                    emitter.finished(results[index])
+            pool_rebuilds, degraded = self._executor.execute(self, job)
         elapsed = time.perf_counter() - start
-        failures = sum(1 for r in results if not r.ok)
         self._last_stats = TrialStats(
             trials=count,
-            failures=failures,
-            retries=retries,
+            failures=sum(1 for r in results if not r.ok),
+            retries=sum(max(r.attempts - 1, 0) for r in results),
             elapsed_seconds=elapsed,
             workers=self._workers,
             cache_hits=cache_hits,
             pool_rebuilds=pool_rebuilds,
             degraded=degraded,
         )
-        _log.debug("batched run complete: %s", self._last_stats.summary())
+        _log.debug("run complete: %s", self._last_stats.summary())
         return results  # type: ignore[return-value]
 
     def run_values(
@@ -873,6 +760,7 @@ class TrialRunner:
         return [result.value for result in results]
 
     # ------------------------------------------------------------------
+    # shared helpers: every executor settles units and members through these
     def _fault_for(
         self, index: int, attempt: int, inline: bool
     ) -> Optional[str]:
@@ -900,53 +788,143 @@ class TrialRunner:
             return "raise"
         return fault
 
-    def _classify(self, outcome) -> Tuple[Optional[str], str]:
-        """``(failure kind, message)`` of a worker outcome -- ``(None, "")``
-        for a success, applying parent-side result validation."""
-        if outcome[0] == "ok":
-            if self._validator is not None:
-                message = self._validator(outcome[2])
-                if message is not None:
-                    return "invalid_result", message
-            return None, ""
-        return outcome[0], outcome[3]
+    def _arm(self, job: _Job, unit, attempt: int, inline: bool) -> tuple:
+        """Announce one attempt of ``unit`` and build its ``_execute_trial``
+        arguments, armed with the fault of the lowest-indexed member that
+        has one for this attempt."""
+        for index in unit:
+            job.emitter.started(index, attempt)
+        fault = None
+        for index in unit:
+            fault = self._fault_for(index, attempt, inline)
+            if fault is not None:
+                job.emitter.fault(index, attempt, fault)
+                break
+        if job.batched:
+            return (
+                job.fn, unit[0], [job.seeds[i] for i in unit],
+                [job.payloads[i] for i in unit], self._timeout, fault,
+                len(unit),
+            )
+        return (
+            job.fn, unit[0], job.seeds[unit[0]], job.payloads[unit[0]],
+            self._timeout, fault,
+        )
 
-    def _finish(self, outcome, attempts) -> TrialResult:
-        """Convert a worker outcome tuple into a TrialResult."""
-        status, index = outcome[0], outcome[1]
-        if status == "ok":
-            kind, message = self._classify(outcome)
-            if kind is not None:
-                error = TrialError(
-                    trial_index=index,
-                    kind=kind,
-                    message=message,
-                    attempts=attempts,
-                    elapsed_seconds=float(outcome[3]),
-                )
-                return TrialResult(
+    def _verdict(self, value) -> Optional[str]:
+        """Parent-side validation of one member value (``None`` = valid)."""
+        return self._validator(value) if self._validator is not None else None
+
+    def _check(self, job: _Job, unit, outcome) -> tuple:
+        """Judge one attempt: ``(failure kind, message, members)``.
+
+        ``members`` pairs each member's value with its validation verdict,
+        or is ``None`` when the unit failed as a whole (it raised, timed
+        out, or a batch returned the wrong number of values).  An invalid
+        member fails the attempt too, so the policy retries the whole unit.
+        """
+        status, _index, value = outcome[:3]
+        if status != "ok":
+            return status, value, None
+        if not job.batched:
+            values = (value,)
+        elif isinstance(value, (list, tuple)) and len(value) == len(unit):
+            values = value
+        else:
+            return (
+                "invalid_result",
+                f"batch returned {type(value).__name__} "
+                f"instead of {len(unit)} member value(s)",
+                None,
+            )
+        members = [(item, self._verdict(item)) for item in values]
+        for _item, verdict in members:
+            if verdict is not None:
+                return "invalid_result", verdict, members
+        return None, "", members
+
+    def _retry_delay(self, job: _Job, unit, kind, attempt: int) -> Optional[float]:
+        """Backoff before retrying ``unit`` after a ``kind`` failure (each
+        member's retry announced), or ``None`` when it succeeded or the
+        policy gives up."""
+        if kind is None or not self._policy.should_retry(kind, attempt):
+            return None
+        delay = self._policy.delay(attempt, job.seeds[unit[0]])
+        for index in unit:
+            job.emitter.retried(index, attempt, kind, delay)
+        return delay
+
+    def _settle(self, job: _Job, unit, outcome, attempt: int, checked) -> None:
+        """Record the final attempt of ``unit``, scattered per member."""
+        kind, message, members = checked
+        if members is None:
+            self._fail(
+                job, unit, kind, message, attempt,
+                traceback=outcome[4], elapsed=float(outcome[3]),
+            )
+            return
+        duration = outcome[3] / len(unit)
+        for index, (value, verdict) in zip(unit, members):
+            self._accept(job, index, value, attempt, duration, verdict)
+
+    def _accept(
+        self, job: _Job, index: int, value, attempts: int, duration: float,
+        verdict: Optional[str],
+    ) -> None:
+        """Record one member's fresh value: journaled if it passed
+        validation, an ``invalid_result`` error if ``verdict`` rejects it."""
+        if verdict is not None:
+            error = TrialError(
+                trial_index=index,
+                kind="invalid_result",
+                message=verdict,
+                attempts=attempts,
+                elapsed_seconds=duration,
+            )
+            result = TrialResult(
+                index=index, value=None, attempts=attempts, duration=0.0,
+                error=error,
+            )
+        else:
+            result = self._journal(
+                job,
+                TrialResult(
+                    index=index, value=value, attempts=attempts,
+                    duration=duration,
+                ),
+            )
+        self._record(job, result)
+
+    def _fail(
+        self, job: _Job, unit, kind: str, message: str, attempts: int,
+        traceback: str = "", elapsed: float = 0.0,
+    ) -> None:
+        """Fail every member of ``unit`` for good."""
+        if job.batched:
+            message = f"batch of {len(unit)}: {message}"
+        for index in unit:
+            error = TrialError(
+                trial_index=index,
+                kind=kind,
+                message=message,
+                attempts=attempts,
+                traceback=traceback,
+                elapsed_seconds=elapsed,
+            )
+            self._record(
+                job,
+                TrialResult(
                     index=index, value=None, attempts=attempts, duration=0.0,
                     error=error,
-                )
-            return TrialResult(
-                index=index,
-                value=outcome[2],
-                attempts=attempts,
-                duration=outcome[3],
+                ),
             )
-        kind = status  # "exception" or "timeout"
-        error = TrialError(
-            trial_index=index,
-            kind=kind,
-            message=outcome[3],
-            attempts=attempts,
-            traceback=outcome[4],
-            # legacy 5-tuples (no elapsed slot) surface as 0.0
-            elapsed_seconds=float(outcome[5]) if len(outcome) > 5 else 0.0,
-        )
-        return TrialResult(index=index, value=None, attempts=attempts, duration=0.0, error=error)
 
-    def _journal(self, cache, keys, result: TrialResult, emitter) -> TrialResult:
+    @staticmethod
+    def _record(job: _Job, result: TrialResult) -> None:
+        job.results[result.index] = result
+        job.emitter.finished(result)
+
+    def _journal(self, job: _Job, result: TrialResult) -> TrialResult:
         """Durably record one fresh success in the trial cache.
 
         Returns the result to surface: unchanged on success; converted to
@@ -955,9 +933,9 @@ class TrialRunner:
         encode); unchanged-but-logged when the journal *write* fails with
         an ``OSError`` -- durability degrades, the sweep keeps its value.
         """
-        if cache is None or keys is None or not result.ok:
+        if job.cache is None or job.keys is None:
             return result
-        key = keys[result.index]
+        key = job.keys[result.index]
         if key is None:
             return result
         try:
@@ -966,11 +944,11 @@ class TrialRunner:
                 and self._fault_plan.fault_for(result.index, result.attempts)
                 == "io"
             ):
-                emitter.fault(result.index, result.attempts, "io")
+                job.emitter.fault(result.index, result.attempts, "io")
                 raise OSError(
                     f"injected fault: journal append for trial {result.index}"
                 )
-            cache.put(key, result.value, result.duration)
+            job.cache.put(key, result.value, result.duration)
         except ValueError as exc:
             error = TrialError(
                 trial_index=result.index,
@@ -993,92 +971,79 @@ class TrialRunner:
             )
         return result
 
-    def _run_inline(
-        self, payloads, seeds, order, results, cache, keys, emitter,
-        attempts: Optional[List[int]] = None,
-    ) -> None:
-        """Execute ``order`` serially in this process.
+    # ------------------------------------------------------------------
+    # local execution: inline, or over this runner's worker pool
+    def _execute_local(self, job: _Job, units) -> Tuple[int, bool]:
+        """Execute ``units`` in this process or its pool; returns
+        ``(pool rebuilds, degraded to serial)``."""
+        if self._workers is None:
+            self._run_inline(job, units)
+            return 0, False
+        return self._run_pool(job, units)
 
-        ``attempts`` carries per-trial attempt counts already consumed by a
+    def _run_inline(
+        self, job: _Job, units, attempts: Optional[List[int]] = None
+    ) -> None:
+        """Execute ``units`` serially in this process.
+
+        ``attempts`` carries per-unit attempt counts already consumed by a
         degraded pool run, so retry budgets span the degradation boundary.
         """
         if attempts is None:
-            attempts = [0] * len(payloads)
-        for index in order:
+            attempts = [0] * len(job.payloads)
+        for unit in units:
             while True:
-                attempts[index] += 1
-                fault = self._fault_for(index, attempts[index], inline=True)
-                emitter.started(index, attempts[index])
-                if fault is not None:
-                    emitter.fault(index, attempts[index], fault)
+                attempts[unit[0]] += 1
+                attempt = attempts[unit[0]]
                 outcome = _execute_trial(
-                    self._trial_fn, index, seeds[index], payloads[index],
-                    self._timeout, fault,
+                    *self._arm(job, unit, attempt, inline=True)
                 )
-                kind, _message = self._classify(outcome)
-                if kind is not None and self._policy.should_retry(
-                    kind, attempts[index]
-                ):
-                    delay = self._policy.delay(attempts[index], seeds[index])
-                    emitter.retried(index, attempts[index], kind, delay)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                result = self._finish(outcome, attempts[index])
-                result = self._journal(cache, keys, result, emitter)
-                results[index] = result
-                emitter.finished(result)
-                break
+                checked = self._check(job, unit, outcome)
+                delay = self._retry_delay(job, unit, checked[0], attempt)
+                if delay is None:
+                    self._settle(job, unit, outcome, attempt, checked)
+                    break
+                if delay > 0:
+                    time.sleep(delay)
 
-    def _run_pool(
-        self, payloads, seeds, order, results, cache, keys, emitter
-    ) -> Tuple[int, bool]:
-        """Execute ``order`` over a worker pool; returns
+    def _run_pool(self, job: _Job, units) -> Tuple[int, bool]:
+        """Execute ``units`` over a worker pool; returns
         ``(pool rebuilds, degraded to serial)``."""
-        pending: deque = deque((index, 0.0) for index in order)
-        attempts = [0] * len(payloads)
+        pending: deque = deque((unit, 0.0) for unit in units)
+        attempts = [0] * len(job.payloads)
         crash_counts: Dict[int, int] = {}
         supervisor = PoolSupervisor(self._max_rebuilds, self._rebuild_window)
         window = self._workers * self._chunk_size
         executor = ProcessPoolExecutor(max_workers=self._workers)
-        # trial indices force-killed by the parent-side hard deadline: their
-        # pool breakage should be reported as a timeout, not a crash.
+        # units force-killed by the parent-side hard deadline: their pool
+        # breakage should be reported as a timeout, not a crash.
         hard_timed_out: set = set()
         try:
-            inflight = {}  # future -> (index, deadline or None)
+            inflight = {}  # future -> (unit, deadline or None)
             while pending or inflight:
                 deferred = []
                 now = time.monotonic()
                 while pending and len(inflight) < window:
-                    index, ready = pending.popleft()
+                    unit, ready = pending.popleft()
                     if ready > now:
-                        deferred.append((index, ready))
+                        deferred.append((unit, ready))
                         continue
-                    attempts[index] += 1
-                    fault = self._fault_for(index, attempts[index], inline=False)
-                    emitter.started(index, attempts[index])
-                    if fault is not None:
-                        emitter.fault(index, attempts[index], fault)
+                    attempts[unit[0]] += 1
                     future = executor.submit(
                         _execute_trial,
-                        self._trial_fn,
-                        index,
-                        seeds[index],
-                        payloads[index],
-                        self._timeout,
-                        fault,
+                        *self._arm(job, unit, attempts[unit[0]], inline=False),
                     )
                     deadline = (
                         now + self._timeout + self.HARD_TIMEOUT_GRACE
                         if self._timeout is not None
                         else None
                     )
-                    inflight[future] = (index, deadline)
+                    inflight[future] = (unit, deadline)
                 pending.extend(deferred)
                 if not inflight:
                     # everything pending is backing off; nap until the
                     # earliest retry becomes ready
-                    wake = min(ready for _index, ready in pending)
+                    wake = min(ready for _unit, ready in pending)
                     time.sleep(max(wake - time.monotonic(), 0.0))
                     continue
                 done, _ = wait(
@@ -1086,61 +1051,53 @@ class TrialRunner:
                 )
                 broken = False
                 for future in done:
-                    index, _deadline = inflight.pop(future)
+                    unit, _deadline = inflight.pop(future)
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
                         broken = True
-                        crash_counts[index] = crash_counts.get(index, 0) + 1
+                        crash_counts[unit[0]] = crash_counts.get(unit[0], 0) + 1
                         self._record_crash(
-                            results, pending, attempts, seeds, index,
-                            hard_timed_out, emitter,
+                            job, pending, attempts, unit, hard_timed_out
                         )
                         continue
-                    kind, _message = self._classify(outcome)
-                    if kind is not None and self._policy.should_retry(
-                        kind, attempts[index]
-                    ):
-                        delay = self._policy.delay(attempts[index], seeds[index])
-                        emitter.retried(index, attempts[index], kind, delay)
-                        pending.append((index, time.monotonic() + delay))
+                    attempt = attempts[unit[0]]
+                    checked = self._check(job, unit, outcome)
+                    delay = self._retry_delay(job, unit, checked[0], attempt)
+                    if delay is None:
+                        self._settle(job, unit, outcome, attempt, checked)
                     else:
-                        result = self._finish(outcome, attempts[index])
-                        result = self._journal(cache, keys, result, emitter)
-                        results[index] = result
-                        emitter.finished(result)
+                        pending.append((unit, time.monotonic() + delay))
                 if not done and self._deadline_exceeded(inflight):
                     # A worker ignored its in-worker alarm; terminate the
                     # pool's processes so the broken-pool path recycles it.
-                    for future, (index, deadline) in inflight.items():
+                    for future, (unit, deadline) in inflight.items():
                         if deadline is not None and time.monotonic() > deadline:
-                            hard_timed_out.add(index)
+                            hard_timed_out.add(unit[0])
                     self._terminate_workers(executor)
                     broken = True
                 if broken:
-                    # The pool is unusable: every remaining in-flight trial
+                    # The pool is unusable: every remaining in-flight unit
                     # died with it.  Re-queue or fail each, then rebuild.
                     _log.warning(
-                        "worker pool broke with %d trial(s) in flight; "
+                        "worker pool broke with %d unit(s) in flight; "
                         "rebuilding the pool",
                         len(inflight),
                     )
                     died = len(inflight)
-                    for future, (index, _deadline) in inflight.items():
-                        crash_counts[index] = crash_counts.get(index, 0) + 1
+                    for future, (unit, _deadline) in inflight.items():
+                        crash_counts[unit[0]] = crash_counts.get(unit[0], 0) + 1
                         self._record_crash(
-                            results, pending, attempts, seeds, index,
-                            hard_timed_out, emitter,
+                            job, pending, attempts, unit, hard_timed_out
                         )
                     inflight.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
                     executor = ProcessPoolExecutor(max_workers=self._workers)
                     storm = supervisor.record_rebuild()
-                    emitter.pool_rebuilt(supervisor.rebuilds, died)
+                    job.emitter.pool_rebuilt(supervisor.rebuilds, died)
                     if storm:
                         self._degrade_to_serial(
-                            payloads, seeds, pending, attempts, crash_counts,
-                            results, cache, keys, emitter, supervisor,
+                            job, pending, attempts, crash_counts, supervisor
                         )
                         return supervisor.rebuilds, True
             return supervisor.rebuilds, False
@@ -1148,94 +1105,73 @@ class TrialRunner:
             executor.shutdown(wait=False, cancel_futures=True)
 
     def _degrade_to_serial(
-        self, payloads, seeds, pending, attempts, crash_counts, results,
-        cache, keys, emitter, supervisor,
+        self, job: _Job, pending, attempts, crash_counts, supervisor
     ) -> None:
         """Crash storm: quarantine repeat-crashers, run the rest inline.
 
-        A payload that crashed the pool :data:`QUARANTINE_CRASHES` or more
+        A unit that crashed the pool :data:`QUARANTINE_CRASHES` or more
         times is surfaced as ``kind="quarantined"`` (running it inline
         would risk taking the parent down with it); every other unfinished
-        trial executes serially in the parent, where a broken pool cannot
+        unit executes serially in the parent, where a broken pool cannot
         hurt it.
         """
-        remaining = [index for index, _ready in pending]
-        quarantined = sorted(
-            index
-            for index in remaining
-            if crash_counts.get(index, 0) >= self.QUARANTINE_CRASHES
-        )
-        survivors = [index for index in remaining if index not in quarantined]
+        remaining = [unit for unit, _ready in pending]
+        quarantined = [
+            unit
+            for unit in remaining
+            if crash_counts.get(unit[0], 0) >= self.QUARANTINE_CRASHES
+        ]
+        survivors = [unit for unit in remaining if unit not in quarantined]
+        indices = sorted(index for unit in quarantined for index in unit)
         _log.warning(
             "crash storm: %d pool rebuild(s) within %.0f s; quarantining "
-            "%d payload(s) %s and degrading %d remaining trial(s) to inline "
+            "%d payload(s) %s and degrading %d remaining unit(s) to inline "
             "serial execution",
             supervisor.rebuilds,
             supervisor.window_seconds,
-            len(quarantined),
-            quarantined,
+            len(indices),
+            indices,
             len(survivors),
         )
-        emitter.degraded(supervisor.rebuilds, quarantined)
-        for index in quarantined:
-            error = TrialError(
-                trial_index=index,
-                kind="quarantined",
-                message=(
-                    f"payload crashed {crash_counts[index]} worker(s); "
-                    f"quarantined after {supervisor.rebuilds} pool rebuild(s) "
-                    "(crash storm)"
-                ),
-                attempts=attempts[index],
+        job.emitter.degraded(supervisor.rebuilds, indices)
+        for unit in quarantined:
+            self._fail(
+                job, unit, "quarantined",
+                f"payload crashed {crash_counts[unit[0]]} worker(s); "
+                f"quarantined after {supervisor.rebuilds} pool rebuild(s) "
+                "(crash storm)",
+                attempts[unit[0]],
             )
-            results[index] = TrialResult(
-                index=index, value=None, attempts=attempts[index],
-                duration=0.0, error=error,
-            )
-            emitter.finished(results[index])
-        self._run_inline(
-            payloads, seeds, survivors, results, cache, keys, emitter,
-            attempts=attempts,
-        )
+        self._run_inline(job, survivors, attempts=attempts)
 
-    def _record_crash(
-        self, results, pending, attempts, seeds, index, hard_timed_out, emitter
-    ):
-        """Re-queue a trial whose worker died, or surface the error."""
-        kind = "timeout" if index in hard_timed_out else "worker-crash"
-        hard_timed_out.discard(index)  # one crash consumes one timeout flag
-        if self._policy.should_retry(kind, attempts[index]):
-            delay = self._policy.delay(attempts[index], seeds[index])
-            emitter.retried(index, attempts[index], kind, delay)
-            pending.append((index, time.monotonic() + delay))
-            return
-        if index in hard_timed_out:
-            message = (
-                f"trial ignored its {self._timeout} s alarm and was terminated"
-            )
+    def _record_crash(self, job: _Job, pending, attempts, unit, hard_timed_out):
+        """Re-queue a unit whose worker died, or surface the error."""
+        timed_out = unit[0] in hard_timed_out
+        hard_timed_out.discard(unit[0])  # one crash consumes one timeout flag
+        kind = "timeout" if timed_out else "worker-crash"
+        delay = self._retry_delay(job, unit, kind, attempts[unit[0]])
+        if delay is not None:
+            pending.append((unit, time.monotonic() + delay))
+        elif timed_out:
             # the worker burned the full deadline before the parent shot it
-            elapsed = float(self._timeout) + self.HARD_TIMEOUT_GRACE
+            self._fail(
+                job, unit, kind,
+                f"trial ignored its {self._timeout} s alarm and was terminated",
+                attempts[unit[0]],
+                elapsed=float(self._timeout) + self.HARD_TIMEOUT_GRACE,
+            )
         else:
-            message = "worker process died mid-trial"
-            elapsed = 0.0
-        error = TrialError(
-            trial_index=index,
-            kind=kind,
-            message=message,
-            attempts=attempts[index],
-            elapsed_seconds=elapsed,
-        )
-        results[index] = TrialResult(
-            index=index, value=None, attempts=attempts[index], duration=0.0, error=error
-        )
-        emitter.finished(results[index])
+            self._fail(
+                job, unit, kind, "worker process died mid-trial",
+                attempts[unit[0]],
+            )
 
     @staticmethod
     def _deadline_exceeded(inflight) -> bool:
         now = time.monotonic()
         return any(
             deadline is not None and now > deadline
-            for _index, deadline in inflight.values()
+            for _unit, deadline in inflight.values()
         )
 
     @staticmethod

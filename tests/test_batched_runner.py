@@ -9,7 +9,16 @@ a batch is the unit of retry and failure, scattered per member.
 import numpy as np
 import pytest
 
+from repro.observability import (
+    PoolRebuilt,
+    RecordingTelemetry,
+    TrialFailedEvent,
+    TrialFinished,
+    TrialRetried,
+    TrialStarted,
+)
 from repro.parallel import BatchedTrialPlan, TrialBatch, TrialRunner
+from repro.resilience import FaultPlan
 
 
 def _trial(rng, payload):
@@ -205,3 +214,31 @@ class TestRunBatched:
             payloads, _batch, plan, seed=3
         )
         assert [r.value for r in pooled] == [r.value for r in inline]
+
+    def test_killed_batch_keeps_full_telemetry(self):
+        payloads = payloads_for([1, 1, 1, 1])
+        plan = BatchedTrialPlan.group(payloads, shape_key, 2)
+        sink = RecordingTelemetry()
+        runner = TrialRunner(
+            _trial, workers=2, telemetry=sink,
+            fault_plan=FaultPlan.parse("kill@0"),
+        )
+        results = runner.run_batched(payloads, _batch, plan, seed=3)
+        reference = TrialRunner(_trial).run_batched(payloads, _batch, plan, seed=3)
+        assert [r.value for r in results] == [r.value for r in reference]
+        assert sink.of_type(PoolRebuilt)
+        assert {0, 1} <= {e.index for e in sink.of_type(TrialRetried)}
+        assert runner.last_stats.pool_rebuilds >= 1
+        for index in range(4):
+            starts = [
+                position
+                for position, event in enumerate(sink.events)
+                if isinstance(event, TrialStarted) and event.index == index
+            ]
+            [finish] = [
+                position
+                for position, event in enumerate(sink.events)
+                if isinstance(event, (TrialFinished, TrialFailedEvent))
+                and event.index == index
+            ]
+            assert starts and max(starts) < finish

@@ -15,6 +15,7 @@ import pytest
 from repro.core.regimes import NetworkParameters
 from repro.experiments.delay import compare_delays
 from repro.experiments.scaling import sweep_capacity
+from repro.observability import FaultInjected, RecordingTelemetry, using_telemetry
 from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 from repro.store import RunStore
 
@@ -57,6 +58,24 @@ class TestChaosDigestEquality:
         )
         assert chaos.digest() == reference
         assert chaos.stats.retries >= 3
+        assert chaos.stats.failures == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fault_injected_batched_sweep_matches_clean_serial_run(
+        self, workers
+    ):
+        # batches {0, 1} and {2, 3}: each is armed with the fault of its
+        # lowest-indexed member (kill@0, nan@2) and retried as a whole
+        sink = RecordingTelemetry()
+        with using_telemetry(sink):
+            chaos = sweep_capacity(
+                _params(), GRID, scheme="A", trials=TRIALS, seed=SEED,
+                workers=workers, batch_trials=2, resilience=_chaos_config(),
+            )
+        armed = len(sink.of_type(FaultInjected))
+        assert armed >= 2
+        assert chaos.digest() == _clean_digest()
+        assert chaos.stats.retries >= armed
         assert chaos.stats.failures == 0
 
     def test_fault_injected_inline_sweep_matches_too(self):

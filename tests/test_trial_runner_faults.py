@@ -51,6 +51,16 @@ def _sleeping_trial(rng, payload):
     return "never"
 
 
+def _alarm_ignoring_trial(rng, payload):
+    signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    time.sleep(60)
+    return "never"
+
+
+class _QuickGraceRunner(TrialRunner):
+    HARD_TIMEOUT_GRACE = 0.2
+
+
 class TestRaisingTrial:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_structured_error_after_one_retry(self, workers):
@@ -137,3 +147,15 @@ class TestTimeout:
         assert results[0].ok
         assert results[0].value == "quick"
         assert results[0].attempts == 1
+
+    def test_ignored_alarm_hits_the_hard_deadline(self):
+        runner = _QuickGraceRunner(
+            _alarm_ignoring_trial, workers=1, timeout=0.2, retries=0
+        )
+        start = time.monotonic()
+        [result] = runner.run([None], seed=0)
+        assert time.monotonic() - start < 30
+        assert result.error.kind == "timeout"
+        assert "ignored its 0.2 s alarm" in result.error.message
+        assert result.error.elapsed_seconds == pytest.approx(0.4)
+        assert runner.last_stats.pool_rebuilds == 1
