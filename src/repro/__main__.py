@@ -30,11 +30,7 @@ bit-identical at any worker count (see ``repro.parallel``).
 
 ``sweep`` additionally accepts ``--batch-trials N`` (group same-``n``
 trials into batches of at most ``N`` and drive the batched flow kernels
-of ``repro.routing.batched``; bit-identical to the per-trial path on the
-default backend) and ``--backend NAME`` (pick a registered array backend,
-see ``repro.backend``; non-canonical backends such as ``numpy32`` are
-tolerance-gated, require ``--batch-trials`` and get their own digest
-namespace).
+of ``repro.routing.batched``; bit-identical to the per-trial path).
 
 They also accept ``--store DIR`` to journal every completed trial into a
 persistent, content-addressed store (see ``repro.store``): re-invoking the
@@ -324,7 +320,6 @@ def _cmd_sweep(args) -> int:
         store=_store(args),
         resilience=_resilience(args),
         batch_trials=args.batch_trials,
-        backend=args.backend,
         executor=executor,
     )
     print(params.describe())
@@ -515,7 +510,6 @@ def _serve_spec(args):
         max_n=args.max_n,
         digest=args.digest,
         family=args.family,
-        backend=args.backend,
         latest_schema=args.latest_schema,
         limit=args.limit,
     )
@@ -604,7 +598,7 @@ def _cmd_serve(args) -> int:
 def _cmd_reproduce(args) -> int:
     """Regenerate Table I and the figure summaries into ``--out``.
 
-    ``--quick`` uses small grids (a couple of minutes); the full benchmark
+    ``--quick`` uses small grids for a fast smoke run; the full benchmark
     suite (``pytest benchmarks/ --benchmark-only``) remains the reference.
     """
     import pathlib
@@ -741,12 +735,7 @@ def main(argv=None) -> int:
     cmd.add_argument(
         "--batch-trials", type=int, default=None, metavar="N",
         help="group same-n trials into batches of at most N and use the "
-        "batched flow kernels (bit-identical on the default backend)",
-    )
-    cmd.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for the batched kernels (default numpy64; "
-        "see repro.backend -- non-canonical backends need --batch-trials)",
+        "batched flow kernels (bit-identical to per-trial execution)",
     )
     cmd.add_argument(
         "--fabric", action="store_true",
@@ -820,7 +809,8 @@ def main(argv=None) -> int:
     cmd.add_argument("--out", default="results")
     cmd.add_argument(
         "--quick", action="store_true",
-        help="small grids (~2 min) instead of the full sweep sizes",
+        help="small grids for a fast smoke run instead of the full sweep "
+        "sizes",
     )
     cmd.add_argument(
         "--grid", default=None,
@@ -891,8 +881,6 @@ def main(argv=None) -> int:
                      help="filter: result digest prefix")
     cmd.add_argument("--family", default=None, metavar="PREFIX",
                      help="filter: cache-key family prefix")
-    cmd.add_argument("--backend", default=None, metavar="NAME",
-                     help="filter: array backend recorded in the run config")
     cmd.add_argument("--latest-schema", action="store_true",
                      help="filter: only runs on the newest schema version "
                      "present in the index")

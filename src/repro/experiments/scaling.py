@@ -5,18 +5,21 @@ family at a geometric grid of ``n``, measure the flow-level sustainable rate
 of a chosen scheme (median over independent trials), and fit the
 ``log lambda`` vs ``log n`` slope for comparison with the closed-form
 exponent of :mod:`repro.core.capacity`.
+
+Every trial's flow analysis runs in float64 numpy.  ``batch_trials``
+routes same-``n`` trials of schemes B and C through the trial-batched
+kernels of :mod:`repro.routing.batched`, whose values are bit-identical
+to the per-trial path, so a sweep's digest does not depend on batching.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import resolve_backend
 from ..core.capacity import (
     infrastructure_capacity,
     mobility_capacity,
@@ -24,11 +27,7 @@ from ..core.capacity import (
 )
 from ..core.order import Order
 from ..core.regimes import MobilityRegime, NetworkParameters
-from ..observability.events import (
-    BackendSelected,
-    BatchDegradedToSerial,
-    get_telemetry,
-)
+from ..observability.events import BatchDegradedToSerial, get_telemetry
 from ..observability.log import get_logger
 from ..observability.timing import span
 from ..parallel import BatchedTrialPlan, TrialRunner, TrialStats
@@ -125,12 +124,6 @@ class SweepResult:
     #: Explicit per-trial seeds, aligned with the payload list (trial ``i``
     #: ran on ``trial_seeds[i]`` regardless of submission order or caching).
     trial_seeds: Optional[Tuple[TrialSeed, ...]] = None
-    #: Array backend the rates came from -- ``None`` for the canonical
-    #: ``numpy64`` path (bit-identical to serial, digest-compatible with
-    #: legacy results); the backend name for tolerance-gated backends,
-    #: which fold into :meth:`digest` so their rates never collide with
-    #: canonical ones.
-    backend: Optional[str] = None
 
     @property
     def exponent_error(self) -> float:
@@ -147,19 +140,16 @@ class SweepResult:
         the resume tests and the CI cache job (a resumed or re-worker-ed
         run must reproduce a cold run's digest exactly).
         """
-        identity = {
-            "parameters": self.parameters,
-            "scheme": self.scheme,
-            "n_values": [int(n) for n in self.n_values],
-            "trials": self.trials,
-            "seed": self.seed,
-            "rates": [float(rate) for rate in self.rates],
-        }
-        if self.backend is not None:
-            # non-canonical backends are tolerance-gated, not bit-exact:
-            # keep their digests disjoint from the canonical namespace
-            identity["backend"] = self.backend
-        return content_digest(identity)
+        return content_digest(
+            {
+                "parameters": self.parameters,
+                "scheme": self.scheme,
+                "n_values": [int(n) for n in self.n_values],
+                "trials": self.trials,
+                "seed": self.seed,
+                "rates": [float(rate) for rate in self.rates],
+            }
+        )
 
     def row(self) -> list:
         """Values for a result table row."""
@@ -223,7 +213,7 @@ def _serial_members(seed_seqs, payloads) -> List[float]:
     ]
 
 
-def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[float]:
+def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
     """Execute one same-shape batch of sweep trials (module-level, picklable).
 
     Every member's network is still built serially with its own payload
@@ -234,8 +224,7 @@ def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[
     scheme C.  Schemes without a batched kernel, width-1 batches, and
     batches whose realisations disagree on stacked shapes (a degenerate
     draw changed ``k``) fall back to the serial per-member path, so the
-    returned values are always exactly the serial ones on the canonical
-    backend.
+    returned values are always exactly the serial ones.
     """
     parameters, n, scheme, build_kwargs, generic = payloads[0][:5]
     if len(payloads) == 1 or scheme not in ("B", "C"):
@@ -265,7 +254,6 @@ def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[
             nets[0].shape,
             nets[0].realized.f,
             nets[0].access_transmission_range(),
-            backend=backend,
         )
         values = []
         for member, net in enumerate(nets):
@@ -284,7 +272,6 @@ def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[
         np.stack([net.home_model.assignment for net in nets]),
         np.stack([net._bs_cluster_assignment() for net in nets]),
         chunk_size=SchemeC._CHUNK,
-        backend=backend,
     )
     values = []
     for member, net in enumerate(nets):
@@ -331,27 +318,15 @@ def sweep_trial_payloads(
     ]
 
 
-def _sweep_trial_keys(
-    payloads: Sequence[tuple], backend: Optional[str] = None
-) -> list:
-    """Content-hash cache key of each sweep payload.
-
-    ``backend`` (a non-canonical backend name) folds into the key so
-    tolerance-gated values live in their own cache namespace and can
-    never be replayed into a canonical sweep.
-    """
-    extra_backend = {} if backend is None else {"backend": backend}
+def _sweep_trial_keys(payloads: Sequence[tuple]) -> list:
+    """Content-hash cache key of each sweep payload."""
     return [
         trial_key(
             parameters,
             scheme,
             n,
             seed,
-            extra={
-                "build_kwargs": build_kwargs,
-                "generic": generic,
-                **extra_backend,
-            },
+            extra={"build_kwargs": build_kwargs, "generic": generic},
         )
         for parameters, n, scheme, build_kwargs, generic, seed in payloads
     ]
@@ -369,7 +344,6 @@ def sweep_capacity(
     store=None,
     resilience: Optional[ResilienceConfig] = None,
     batch_trials: Optional[int] = None,
-    backend: Optional[str] = None,
     executor=None,
 ) -> SweepResult:
     """Measure ``lambda(n)`` over a grid of ``n`` and fit the exponent.
@@ -416,14 +390,8 @@ def sweep_capacity(
     ``batch_trials`` (``>= 2``) groups same-``n`` trials into batches of
     at most that width and drives the batched flow kernels
     (:mod:`repro.routing.batched`) instead of one full scheme object per
-    trial.  On the default canonical backend the batched rates -- and the
-    sweep digest -- are bit-identical to the per-trial path at any worker
-    count.  ``backend`` selects a registered array backend
-    (:func:`repro.backend.available_backends`); non-canonical backends
-    (``numpy32``) are tolerance-gated, require
-    ``batch_trials`` (only the batched kernels are backend-aware), fold
-    into the trial cache keys, and stamp :attr:`SweepResult.backend` so
-    their digests never collide with canonical results.
+    trial.  The batched rates -- and the sweep digest -- are
+    bit-identical to the per-trial path at any worker count.
 
     ``executor`` (a :class:`repro.parallel.SweepExecutor`, e.g.
     :class:`repro.fabric.FabricExecutor`) replaces the in-process trial
@@ -443,38 +411,18 @@ def sweep_capacity(
             f"batch_trials must be >= 2 (or None for per-trial execution), "
             f"got {batch_trials}"
         )
-    resolved_backend = resolve_backend(backend)
-    if not resolved_backend.canonical and batch_trials is None:
-        raise ValueError(
-            f"backend {resolved_backend.name!r} is only used by the batched "
-            "kernels; pass batch_trials >= 2 (the per-trial path is always "
-            "canonical numpy64)"
-        )
     store = open_store(store)
     n_values = np.asarray(sorted(n_values), dtype=int)
     payloads = sweep_trial_payloads(
         parameters, n_values, scheme, trials, build_kwargs, generic, seed=seed
     )
-    key_backend = None if resolved_backend.canonical else resolved_backend.name
-    keys = (
-        _sweep_trial_keys(payloads, backend=key_backend)
-        if store is not None
-        else None
-    )
+    keys = _sweep_trial_keys(payloads) if store is not None else None
     sink = get_telemetry()
-    if sink.enabled:
-        sink.emit(
-            BackendSelected(
-                backend=resolved_backend.name,
-                canonical=resolved_backend.canonical,
-                batch_trials=batch_trials or 0,
-            )
-        )
     _log.info(
         "sweep_capacity: scheme=%s grid=%s trials=%d seed=%d workers=%s "
-        "store=%s batch_trials=%s backend=%s",
+        "store=%s batch_trials=%s",
         scheme, [int(n) for n in n_values], trials, seed, workers,
-        getattr(store, "root", None), batch_trials, resolved_backend.name,
+        getattr(store, "root", None), batch_trials,
     )
     resilience = resilience if resilience is not None else ResilienceConfig()
     if batch_trials is not None and scheme not in ("B", "C"):
@@ -497,6 +445,17 @@ def sweep_capacity(
                     reason="no_batched_kernel",
                 )
             )
+    config = {
+        "scheme": scheme,
+        "n_values": [int(n) for n in n_values],
+        "trials": trials,
+        "seed": seed,
+        "build_kwargs": build_kwargs or {},
+        "generic": generic,
+        "workers": workers,
+        "batch_trials": batch_trials,
+        "executor": getattr(executor, "name", None),
+    }
     runner = TrialRunner(
         _sweep_trial,
         workers=workers,
@@ -514,9 +473,7 @@ def sweep_capacity(
                 )
                 results = runner.run_batched(
                     payloads,
-                    functools.partial(
-                        _batched_sweep_trial, backend=resolved_backend.name
-                    ),
+                    _batched_sweep_trial,
                     plan,
                     seed=seed,
                     cache=store,
@@ -533,18 +490,7 @@ def sweep_capacity(
             store.close()
             store.record_run(
                 command="sweep",
-                config={
-                    "scheme": scheme,
-                    "n_values": [int(n) for n in n_values],
-                    "trials": trials,
-                    "seed": seed,
-                    "build_kwargs": build_kwargs or {},
-                    "generic": generic,
-                    "workers": workers,
-                    "batch_trials": batch_trials,
-                    "backend": resolved_backend.name,
-                    "executor": getattr(executor, "name", None),
-                },
+                config=config,
                 parameters=parameters,
                 trial_keys=keys,
                 status="interrupted",
@@ -588,23 +534,11 @@ def sweep_capacity(
         stats=runner.last_stats,
         seed=seed,
         trial_seeds=tuple(payload[5] for payload in payloads),
-        backend=key_backend,
     )
     if store is not None:
         store.record_run(
             command="sweep",
-            config={
-                "scheme": scheme,
-                "n_values": [int(n) for n in n_values],
-                "trials": trials,
-                "seed": seed,
-                "build_kwargs": build_kwargs or {},
-                "generic": generic,
-                "workers": workers,
-                "batch_trials": batch_trials,
-                "backend": resolved_backend.name,
-                "executor": getattr(executor, "name", None),
-            },
+            config=config,
             parameters=parameters,
             trial_keys=keys,
             digest=sweep.digest(),

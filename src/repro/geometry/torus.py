@@ -85,30 +85,25 @@ def pairwise_distances(points: np.ndarray, others: Optional[np.ndarray] = None) 
 def batched_pairwise_distances(
     points: np.ndarray,
     others: Optional[np.ndarray] = None,
-    backend=None,
 ) -> np.ndarray:
     """Torus distances for a *stack* of point sets along a leading batch axis.
 
     ``points`` is ``(B, n, 2)`` and ``others`` (default ``points``) is
     ``(B, k, 2)``; the result is ``(B, n, k)`` where slice ``b`` equals
     :func:`pairwise_distances` on the ``b``-th point sets.  Every
-    operation is elementwise, so on the canonical ``numpy64`` backend
-    each slice is *bit-identical* to the serial kernel; other backends
-    agree within their declared ``rtol["torus_distance"]``.
+    operation is elementwise, so each slice is *bit-identical* to the
+    serial kernel.
     """
-    from ..backend import resolve_backend
-
-    resolved = resolve_backend(backend)
-    xp = resolved.xp
-    points = resolved.asarray(points)
-    others = points if others is None else resolved.asarray(others)
+    points = np.asarray(points, dtype=float)
+    others = points if others is None else np.asarray(others, dtype=float)
     dx = points[..., :, 0, None] - others[..., None, :, 0]
-    dx = dx - xp.round(dx)
-    dx = dx * dx
+    dx -= np.round(dx)
+    dx *= dx
     dy = points[..., :, 1, None] - others[..., None, :, 1]
-    dy = dy - xp.round(dy)
-    dy = dy * dy
-    return xp.sqrt(dx + dy)
+    dy -= np.round(dy)
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def within_range(

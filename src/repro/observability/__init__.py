@@ -41,7 +41,6 @@ emits as futures complete, so pool workers never touch the sink.
 from .events import (
     AgentDelisted,
     AgentRegistered,
-    BackendSelected,
     BatchDegradedToSerial,
     CompositeTelemetry,
     DegradedToSerial,
@@ -80,7 +79,6 @@ from .trace import JsonlTraceSink, open_trace
 __all__ = [
     "AgentDelisted",
     "AgentRegistered",
-    "BackendSelected",
     "BatchDegradedToSerial",
     "CompositeTelemetry",
     "DegradedToSerial",

@@ -43,7 +43,6 @@ __all__ = [
     "FabricDegraded",
     "SweepProgress",
     "SlotBatch",
-    "BackendSelected",
     "JournalAppended",
     "IndexRefreshed",
     "QueryExecuted",
@@ -302,14 +301,7 @@ class SweepProgress(TelemetryEvent):
 
 @dataclass(frozen=True)
 class SlotBatch(TelemetryEvent):
-    """Timing of one :meth:`SlottedSimulator.run` batch of slots.
-
-    ``batch_width`` is how many same-shape simulations each slot's
-    scheduling decision covered: 1 for a plain per-trial ``run()``, the
-    number of lockstep simulators when
-    :func:`repro.simulation.batch.run_lockstep` drove one
-    ``schedule_batch`` call per slot.
-    """
+    """Timing of one :meth:`SlottedSimulator.run` batch of slots."""
 
     EVENT: ClassVar[str] = "slot_batch"
     slots: int
@@ -317,23 +309,6 @@ class SlotBatch(TelemetryEvent):
     total_slots: int
     created: int
     delivered: int
-    batch_width: int = 1
-
-
-@dataclass(frozen=True)
-class BackendSelected(TelemetryEvent):
-    """Which array backend (and batch shape) a run's results came from.
-
-    Emitted once per sweep invocation so traces record whether numbers
-    are canonical (bit-identical ``numpy64``) or tolerance-gated, and
-    what ``--batch-trials`` width produced them (0 = per-trial serial
-    execution).
-    """
-
-    EVENT: ClassVar[str] = "backend_selected"
-    backend: str
-    canonical: bool
-    batch_trials: int
 
 
 @dataclass(frozen=True)

@@ -20,20 +20,19 @@ same-shape realisations:
   search for a whole batch at once (inject the slices via
   ``SchemeC(..., attach=...)``).
 
-Bit-identity contract: on the canonical ``numpy64`` backend every function
-here reproduces the serial per-trial result bit-for-bit
-(``tests/test_batched_routing.py``); other backends are tolerance-gated.
+Bit-identity contract: every function here computes in float64 numpy and
+reproduces the serial per-trial result bit-for-bit
+(``tests/test_batched_routing.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..backend import resolve_backend
 from ..geometry.neighbors import DEFAULT_CHUNK, batched_masked_nearest
-from ..geometry.torus import batched_pairwise_distances
+from ..geometry.torus import pairwise_distances
 from ..infrastructure.backbone import Backbone
 from ..mobility.shapes import MobilityShape
 from ..wireless.link_capacity import contact_probability_ms_bs_at_range
@@ -46,29 +45,6 @@ __all__ = [
 ]
 
 
-def _block_distances(points, others, resolved) -> np.ndarray:
-    """Torus distances for one zone block, on the resolved backend.
-
-    numpy backends take an in-place path (same ufuncs in the same order
-    as :func:`~repro.geometry.torus.pairwise_distances`, so bit-identical
-    on ``numpy64``); device backends reuse the generic batched kernel.
-    """
-    if resolved.xp is np:
-        points = np.asarray(points, dtype=resolved.float_dtype)
-        others = np.asarray(others, dtype=resolved.float_dtype)
-        dx = points[:, 0, None] - others[None, :, 0]
-        dx -= np.round(dx)
-        dx *= dx
-        dy = points[:, 1, None] - others[None, :, 1]
-        dy -= np.round(dy)
-        dy *= dy
-        dx += dy
-        return np.sqrt(dx, out=dx)
-    return resolved.from_device(
-        batched_pairwise_distances(points[None], others[None], backend=resolved)
-    )[0]
-
-
 def batched_zone_access(
     ms_home: np.ndarray,
     bs_positions: np.ndarray,
@@ -78,7 +54,6 @@ def batched_zone_access(
     f: float,
     transmission_range: float,
     chunk_size: int = DEFAULT_CHUNK,
-    backend=None,
 ) -> np.ndarray:
     """``mu_i^A`` for a whole batch: ``(B, n)`` access capacities.
 
@@ -91,10 +66,9 @@ def batched_zone_access(
     ``(rows, k)`` buffer whose masked-out entries are the exact ``0.0``
     the serial ``np.where`` writes, and the reduction runs over those
     same full-width rows -- so slice ``b`` stays bit-identical to the
-    serial vector on the canonical backend.  Per-row values remain
+    serial vector.  Per-row values remain
     chunk-size independent (the reduction is along the last axis only).
     """
-    resolved = resolve_backend(backend)
     ms_home = np.asarray(ms_home, dtype=float)
     bs_positions = np.asarray(bs_positions, dtype=float)
     if ms_home.ndim != 3 or bs_positions.ndim != 3:
@@ -108,7 +82,7 @@ def batched_zone_access(
     if ms_zone.shape != (batch, n) or bs_zone.shape[:1] != (batch,):
         raise ValueError("zone arrays must match the batch layout")
     k = bs_positions.shape[1]
-    access = np.zeros((batch, n), dtype=resolved.float_dtype)
+    access = np.zeros((batch, n))
     rows_per_chunk = max(1, chunk_size)
     for b in range(batch):
         # MSs in a zone with no BS keep the serial all-masked sum: 0.0
@@ -121,7 +95,7 @@ def batched_zone_access(
             stations = bs_positions[b, cols]
             for lo in range(0, rows.size, rows_per_chunk):
                 hi = min(rows.size, lo + rows_per_chunk)
-                distances = _block_distances(homes[lo:hi], stations, resolved)
+                distances = pairwise_distances(homes[lo:hi], stations)
                 mu = contact_probability_ms_bs_at_range(
                     shape, f, transmission_range, distances
                 )
@@ -217,7 +191,6 @@ def batched_scheme_c_attach(
     ms_cluster: np.ndarray,
     bs_cluster: np.ndarray,
     chunk_size: int = 2048,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Scheme C's nearest-same-cluster-BS attach for a whole batch.
 
@@ -232,5 +205,4 @@ def batched_scheme_c_attach(
         point_labels=ms_cluster,
         other_labels=bs_cluster,
         chunk_size=chunk_size,
-        backend=backend,
     )

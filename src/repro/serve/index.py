@@ -56,9 +56,10 @@ __all__ = [
 
 _log = get_logger(__name__)
 
-#: Bumped when the :class:`RunRecord` shape changes; a persisted index
-#: with a different version is discarded and rebuilt from the manifests.
-INDEX_VERSION = 1
+#: Bumped when the :class:`RunRecord` shape or :func:`family_key`
+#: changes; a persisted index with a different version is discarded and
+#: rebuilt from the manifests.
+INDEX_VERSION = 2
 
 #: Config keys that change *how fast* (or *where*) a run executes but
 #: never its value (results are bit-identical at any worker count, batch
@@ -73,10 +74,10 @@ def family_key(manifest: dict) -> str:
 
     Folds in the command, the (already JSON-encoded) parameters and the
     config minus :data:`VOLATILE_CONFIG_KEYS`.  Two runs of the same
-    experiment -- same scheme, grid, trials, seed, backend -- share a
-    family even when executed with different worker counts or batch
-    widths, which is exactly the population the regression detector
-    compares digests and throughput across.
+    experiment -- same scheme, grid, trials, seed -- share a family even
+    when executed with different worker counts or batch widths, which is
+    exactly the population the regression detector compares digests and
+    throughput across.
     """
     config = manifest.get("config") or {}
     stable = {
@@ -84,6 +85,11 @@ def family_key(manifest: dict) -> str:
         for key, value in config.items()
         if key not in VOLATILE_CONFIG_KEYS
     }
+    if stable.get("backend") == "numpy64":
+        # Sweeps once recorded the array backend they ran on; "numpy64"
+        # was the float64 path every sweep now takes, so those older
+        # manifests belong to the same family as newer ones without it.
+        del stable["backend"]
     return content_digest(
         {
             "command": manifest.get("command"),
@@ -140,7 +146,6 @@ class RunRecord:
     schema_version: Optional[int]
     git_sha: Optional[str]
     scheme: Optional[str]
-    backend: Optional[str]
     n_values: Tuple[int, ...]
     trials: int
     cache_hits: int
@@ -216,7 +221,6 @@ class RunRecord:
             schema_version=provenance.get("schema_version"),
             git_sha=provenance.get("git_sha"),
             scheme=config.get("scheme"),
-            backend=config.get("backend"),
             n_values=n_values,
             trials=int(stats.get("trials", len(trial_keys))),
             cache_hits=int(stats.get("cache_hits") or 0),

@@ -81,6 +81,8 @@ class RegressionReport:
     #: Runs considered across those families.
     runs: int
     slowdown_threshold: float
+    #: Eligible runs left uncompared because their family has no other run.
+    singleton_runs: int = 0
 
     @property
     def ok(self) -> bool:
@@ -92,18 +94,24 @@ class RegressionReport:
 
     def summary(self) -> str:
         """One-line human-readable digest."""
+        skipped = (
+            f"; {self.singleton_runs} run(s) skipped as the only run of "
+            "their family"
+            if self.singleton_runs
+            else ""
+        )
         if self.ok:
             return (
                 f"no regressions across {self.families} compared "
                 f"famil{'y' if self.families == 1 else 'ies'} "
-                f"({self.runs} run(s))"
+                f"({self.runs} run(s)){skipped}"
             )
         drifts = len(self.of_kind("digest-drift"))
         slowdowns = len(self.of_kind("slowdown"))
         return (
             f"{len(self.regressions)} regression(s) across {self.families} "
             f"compared famil{'y' if self.families == 1 else 'ies'}: "
-            f"{drifts} digest drift(s), {slowdowns} slowdown(s)"
+            f"{drifts} digest drift(s), {slowdowns} slowdown(s){skipped}"
         )
 
     def to_jsonable(self) -> dict:
@@ -111,6 +119,7 @@ class RegressionReport:
             "ok": self.ok,
             "families": self.families,
             "runs": self.runs,
+            "singleton_runs": self.singleton_runs,
             "slowdown_threshold": self.slowdown_threshold,
             "regressions": [r.to_jsonable() for r in self.regressions],
         }
@@ -211,8 +220,10 @@ def scan_records(
     findings: List[Regression] = []
     compared_families = 0
     compared_runs = 0
+    singleton_runs = 0
     for members in groups.values():
         if len(members) < 2:
+            singleton_runs += 1
             continue
         compared_families += 1
         compared_runs += len(members)
@@ -229,6 +240,7 @@ def scan_records(
         families=compared_families,
         runs=compared_runs,
         slowdown_threshold=slowdown_threshold,
+        singleton_runs=singleton_runs,
     )
 
 

@@ -275,9 +275,8 @@ class SlottedSimulator:
         """Advance mobility, combine positions, spawn arrivals.
 
         Returns ``(positions, moved)`` for this slot's scheduling decision
-        -- the first half of :meth:`step`, split out so a lockstep batch
-        driver can interpose one ``schedule_batch`` call across
-        simulators.
+        -- the first half of :meth:`step`, split out so tests can drive
+        the slot phases one at a time.
         """
         positions, moved = self._process.step_moved()
         positions = self._combine(positions, moved)

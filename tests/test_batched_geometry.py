@@ -1,14 +1,11 @@
-"""Bit-identity and tolerance tests for the batched geometry kernels."""
+"""Bit-identity tests for the batched geometry kernels."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.backend import get_backend
 from repro.geometry.neighbors import (
-    BatchedCellGridIndex,
     CellGridIndex,
     batched_masked_nearest,
     masked_nearest,
@@ -41,64 +38,48 @@ class TestBatchedPairwiseDistances:
         out = batched_pairwise_distances(points)
         assert np.array_equal(out[0], pairwise_distances(points[0]))
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        points=arrays(
-            np.float64,
-            (3, 8, 2),
-            elements=st.floats(0.0, 1.0, exclude_max=True, width=64),
-        )
+    @pytest.mark.parametrize(
+        "batch, n, k", [(1, 1, 1), (2, 1, 9), (3, 9, 1), (4, 33, 64)]
     )
-    def test_float32_within_declared_rtol(self, points):
-        backend = get_backend("numpy32")
-        exact = batched_pairwise_distances(points)
-        approx = backend.from_device(
-            batched_pairwise_distances(points, backend=backend)
-        )
-        assert approx.dtype == np.float32
-        # rtol gate is declared per kernel by the backend; torus distances
-        # are bounded by sqrt(2)/2 so an absolute cushion of the same order
-        # covers the catastrophic-cancellation-free regime
-        rtol = backend.tolerance("torus_distance")
-        assert np.allclose(approx, exact, rtol=rtol, atol=1e-6)
+    def test_cross_sets_of_any_shape(self, rng, batch, n, k):
+        points, others = stack_points(rng, batch, n, k)
+        out = batched_pairwise_distances(points, others)
+        assert out.shape == (batch, n, k)
+        for b in range(batch):
+            assert np.array_equal(out[b], pairwise_distances(points[b], others[b]))
+
+    def test_distances_wrap_around_the_seam(self, rng):
+        points = np.array([[[0.01, 0.5]], [[0.5, 0.99]]])
+        others = np.array([[[0.99, 0.5]], [[0.5, 0.01]]])
+        out = batched_pairwise_distances(points, others)
+        assert np.allclose(out[:, 0, 0], 0.02)
+        spread = batched_pairwise_distances(rng.random((2, 40, 2)))
+        assert spread.max() <= math.sqrt(2) / 2
 
 
-class TestBatchedCellGridIndex:
+class TestGridIndexAgreesWithBatchedDistances:
+    """Each trial slice's :class:`CellGridIndex` pair list is the upper
+    triangle of its batched distance matrix thresholded at the radius."""
+
     @pytest.mark.parametrize("radius", [0.02, 0.08, 0.3, 0.9])
-    def test_pairs_within_matches_serial(self, rng, radius):
-        points = rng.random((4, 60, 2))
-        index = BatchedCellGridIndex(points)
-        batch_idx, i, j, dist = index.pairs_within(radius)
+    def test_pairs_within_each_slice(self, rng, radius):
+        points = rng.random((4, 120, 2))
+        distances = batched_pairwise_distances(points)
         for b in range(4):
-            si, sj, sd = CellGridIndex(points[b]).pairs_within(radius)
-            mask = batch_idx == b
-            assert np.array_equal(i[mask], si)
-            assert np.array_equal(j[mask], sj)
-            assert np.array_equal(dist[mask], sd)
+            i, j, dist = CellGridIndex(points[b]).pairs_within(radius)
+            want_i, want_j = np.nonzero(np.triu(distances[b] <= radius, k=1))
+            assert np.array_equal(i, want_i)
+            assert np.array_equal(j, want_j)
+            assert np.array_equal(dist, distances[b][want_i, want_j])
 
-    def test_small_n_dense_fallback_matches(self, rng):
+    def test_small_slices_take_the_dense_path(self, rng):
         points = rng.random((3, 8, 2))
-        index = BatchedCellGridIndex(points)
-        batch_idx, i, j, dist = index.pairs_within(0.4)
+        distances = batched_pairwise_distances(points)
         for b in range(3):
-            si, sj, sd = CellGridIndex(points[b]).pairs_within(0.4)
-            mask = batch_idx == b
-            assert np.array_equal(i[mask], si)
-            assert np.array_equal(dist[mask], sd)
-
-    def test_zero_radius_rejected_like_serial(self, rng):
-        index = BatchedCellGridIndex(rng.random((2, 20, 2)))
-        with pytest.raises(ValueError, match="radius"):
-            index.pairs_within(0.0)
-
-    def test_rejects_non_batched_shape(self, rng):
-        with pytest.raises(ValueError):
-            BatchedCellGridIndex(rng.random((20, 2)))
-
-    def test_len_and_batch(self, rng):
-        index = BatchedCellGridIndex(rng.random((3, 15, 2)))
-        assert len(index) == 15
-        assert index.batch == 3
+            i, j, dist = CellGridIndex(points[b]).pairs_within(0.4)
+            want_i, want_j = np.nonzero(np.triu(distances[b] <= 0.4, k=1))
+            assert np.array_equal(i, want_i)
+            assert np.array_equal(dist, distances[b][want_i, want_j])
 
 
 class TestBatchedMaskedNearest:
@@ -142,3 +123,27 @@ class TestBatchedMaskedNearest:
         )
         assert np.array_equal(full[0], tiny[0])
         assert np.array_equal(full[1], tiny[1])
+
+    def test_unlabeled_matches_serial_per_slice(self, rng):
+        points = rng.random((3, 20, 2))
+        others = rng.random((3, 6, 2))
+        nearest, distance = batched_masked_nearest(points, others, chunk_size=5)
+        for b in range(3):
+            sn, sd = masked_nearest(points[b], others[b])
+            assert np.array_equal(nearest[b], sn)
+            assert np.array_equal(distance[b], sd)
+
+    def test_no_candidates_leaves_every_row_unmatched(self, rng):
+        nearest, distance = batched_masked_nearest(
+            rng.random((2, 5, 2)), np.empty((2, 0, 2))
+        )
+        assert nearest.shape == (2, 5) and np.all(nearest == -1)
+        assert np.all(np.isinf(distance))
+
+    def test_one_sided_labels_rejected(self, rng):
+        with pytest.raises(ValueError, match="both sides"):
+            batched_masked_nearest(
+                rng.random((2, 5, 2)),
+                rng.random((2, 3, 2)),
+                point_labels=np.zeros((2, 5), dtype=int),
+            )

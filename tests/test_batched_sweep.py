@@ -1,27 +1,18 @@
 """End-to-end digest equality for trial-batched capacity sweeps.
 
-The headline acceptance test of the batched path: a ``numpy64`` batched
-sweep reproduces the serial sweep digest bit-for-bit at any worker
-count, while non-canonical backends are tolerance-gated and live in a
-disjoint digest/cache namespace.
+The headline acceptance test of the batched path: a batched sweep
+reproduces the serial sweep digest bit-for-bit at any worker count.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
 from repro.core.regimes import NetworkParameters
-from repro.experiments.scaling import (
-    _sweep_trial_keys,
-    sweep_capacity,
-    sweep_trial_payloads,
-)
+from repro.experiments.scaling import sweep_capacity
 from repro.observability import RecordingTelemetry
-from repro.observability.events import (
-    BackendSelected,
-    BatchDegradedToSerial,
-    using_telemetry,
-)
+from repro.observability.events import BatchDegradedToSerial, using_telemetry
+from repro.serve.index import family_key
+from repro.store import RunStore
 
 STRONG = NetworkParameters(
     alpha="1/4", cluster_exponent=1, bs_exponent="1/2", backbone_exponent=1
@@ -51,7 +42,6 @@ class TestDigestEquality:
         got = serial_sweep(workers=workers, batch_trials=3)
         assert np.array_equal(got.rates, want.rates)
         assert got.digest() == want.digest()
-        assert got.backend is None  # canonical runs carry no backend tag
 
     def test_scheme_c_batched_matches_serial(self):
         kwargs = dict(
@@ -74,56 +64,55 @@ class TestDigestEquality:
         )
 
 
-class TestNonCanonicalBackend:
-    def test_numpy32_within_rtol_but_disjoint_digest(self):
-        want = serial_sweep()
-        got = serial_sweep(batch_trials=3, backend="numpy32")
-        rtol = get_backend("numpy32").tolerance("scheme_rate")
-        assert np.allclose(got.rates, want.rates, rtol=rtol, atol=1e-9)
-        assert got.digest() != want.digest()
-        assert got.backend == "numpy32"
-
-    def test_cache_keys_are_namespaced(self):
-        payloads = sweep_trial_payloads(
-            STRONG, GRID, "B", trials=2, generic=True, seed=42
-        )
-        canonical = _sweep_trial_keys(payloads)
-        gated = _sweep_trial_keys(payloads, backend="numpy32")
-        assert set(canonical).isdisjoint(gated)
-
-    def test_backend_requires_batching(self):
-        with pytest.raises(ValueError, match="batch_trials"):
-            serial_sweep(backend="numpy32")
-
+class TestValidation:
     def test_batch_trials_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="batch_trials"):
             serial_sweep(batch_trials=1)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError):
-            serial_sweep(batch_trials=2, backend="no-such-backend")
+
+class _InterruptingStore(RunStore):
+    """Delivers a keyboard interrupt once two trials have been journaled."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.puts = 0
+
+    def put(self, key, value, duration):
+        if self.puts >= 2:
+            raise KeyboardInterrupt
+        super().put(key, value, duration)
+        self.puts += 1
 
 
-class TestTelemetry:
-    def test_backend_selected_emitted_once(self):
-        sink = RecordingTelemetry()
-        with using_telemetry(sink):
-            serial_sweep(batch_trials=3, backend="numpy32")
-        events = sink.of_type(BackendSelected)
-        assert len(events) == 1
-        assert events[0].backend == "numpy32"
-        assert not events[0].canonical
-        assert events[0].batch_trials == 3
+class TestRecordedManifest:
+    SWEEP_CONFIG_KEYS = {
+        "scheme", "n_values", "trials", "seed", "build_kwargs", "generic",
+        "workers", "batch_trials", "executor",
+    }
 
-    def test_serial_sweep_reports_canonical_zero_width(self):
-        sink = RecordingTelemetry()
-        with using_telemetry(sink):
-            serial_sweep()
-        events = sink.of_type(BackendSelected)
-        assert len(events) == 1
-        assert events[0].backend == "numpy64"
-        assert events[0].canonical
-        assert events[0].batch_trials == 0
+    def test_config_records_the_sweep_without_a_backend(self, tmp_path):
+        serial_sweep(batch_trials=3, store=tmp_path)
+        (run,) = RunStore(tmp_path).list_runs()
+        assert set(run["config"]) == self.SWEEP_CONFIG_KEYS
+        assert run["config"]["batch_trials"] == 3
+
+    def test_interrupted_and_completed_runs_record_one_config(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            serial_sweep(batch_trials=2, store=_InterruptingStore(tmp_path))
+        serial_sweep(batch_trials=2, store=tmp_path)
+        runs = RunStore(tmp_path).list_runs()
+        by_status = {run["status"]: run for run in runs}
+        assert set(by_status) == {"interrupted", "completed"}
+        assert by_status["interrupted"]["config"] == by_status["completed"]["config"]
+
+    def test_batched_and_serial_runs_share_a_family(self, tmp_path):
+        serial = serial_sweep(store=tmp_path)
+        batched = serial_sweep(batch_trials=4, store=tmp_path)
+        assert batched.digest() == serial.digest()
+        runs = RunStore(tmp_path).list_runs()
+        assert len(runs) == 2
+        assert family_key(runs[0]) == family_key(runs[1])
+        assert {run["digest"] for run in runs} == {serial.digest()}
 
 
 class TestSerialFallbackWarning:

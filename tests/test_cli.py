@@ -155,6 +155,12 @@ class TestRuns:
         warm = sweep_output(capsys, ["--store", store])
         assert "cache: 2 hit(s)" in warm
 
+    def test_sweep_has_no_backend_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(SWEEP_ARGS + ["--batch-trials", "2", "--backend", "numpy64"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_store_path_is_a_file_errors_cleanly(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -260,6 +266,24 @@ class TestServe:
         assert "wrote" in out
         page = (tmp_path / "results" / "serve" / "report.html").read_text()
         assert page.startswith("<!DOCTYPE html>")
+
+    def test_regress_counts_single_run_families(self, tmp_path, capsys):
+        store = self.seed_store(tmp_path, capsys, runs=1)
+        assert main(["serve", "regress", "--store", store]) == 0
+        assert "1 run(s) skipped as the only run of their family" in (
+            capsys.readouterr().out
+        )
+        assert main(["serve", "regress", "--store", store, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["families"] == 0 and report["runs"] == 0
+        assert report["singleton_runs"] == 1
+
+    def test_query_has_no_backend_filter(self, tmp_path, capsys):
+        store = self.seed_store(tmp_path, capsys, runs=1)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "query", "--store", store, "--backend", "numpy64"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_invalid_slowdown_threshold_exits_2(self, tmp_path, capsys):
         store = self.seed_store(tmp_path, capsys, runs=1)

@@ -196,6 +196,41 @@ class TestRunIndex:
         assert family_key(serial) == family_key(pooled)
         assert family_key(serial) != family_key(other_scheme)
 
+    def test_family_ignores_the_recorded_numpy64_backend(self, tmp_path):
+        # Older sweep manifests recorded the float64 array backend in
+        # their config; the same sweep recorded without it is one family.
+        new = manifest("run-new")
+        old = manifest(
+            "run-old", config={**new["config"], "backend": "numpy64"}
+        )
+        other = manifest(
+            "run-other", config={**new["config"], "backend": "numpy32"}
+        )
+        assert family_key(old) == family_key(new)
+        assert family_key(other) != family_key(new)
+
+    def test_index_persisted_before_the_family_change_is_rebuilt(
+        self, tmp_path
+    ):
+        new = write_manifest(tmp_path, "run-new", created_ts=200.0)
+        write_manifest(
+            tmp_path, "run-old", created_ts=100.0,
+            config={**new["config"], "backend": "numpy64"},
+        )
+        RunIndex(tmp_path).refresh()
+        # rewrite the persisted index as the previous version left it:
+        # same fingerprints, the old family key of the backend-tagged run
+        index_path = tmp_path / "serve" / "index.json"
+        data = json.loads(index_path.read_text())
+        data["version"] = 1
+        data["entries"]["run-old"]["family"] = "0" * 64
+        index_path.write_text(json.dumps(data))
+        index = RunIndex(tmp_path)
+        stats = index.refresh()
+        assert stats.parsed == 2
+        assert index.get("run-old").family == index.get("run-new").family
+        assert len(index.families()) == 1
+
     def test_fresh_throughput_excludes_cached_trials(self):
         rec = record(
             "run-a",
@@ -454,6 +489,52 @@ class TestRegress:
     def test_single_run_families_skipped(self):
         report = scan_records([record("run-a")])
         assert report.ok and report.families == 0 and report.runs == 0
+
+    def test_skipped_single_run_families_are_reported(self):
+        report = scan_records([
+            record("run-a", created_ts=100.0),
+            record("run-b", created_ts=200.0),
+            record(
+                "run-c", created_ts=300.0,
+                config={**manifest("x")["config"], "scheme": "B"},
+            ),
+            record(
+                "run-d", created_ts=400.0, digest="d" * 64,
+                config={**manifest("x")["config"], "scheme": "C"},
+            ),
+        ])
+        assert report.ok and report.families == 1 and report.runs == 2
+        assert report.singleton_runs == 2
+        assert report.to_jsonable()["singleton_runs"] == 2
+        assert report.summary() == (
+            "no regressions across 1 compared family (2 run(s)); "
+            "2 run(s) skipped as the only run of their family"
+        )
+
+    def test_no_singletons_keeps_the_plain_summary(self):
+        report = scan_records([
+            record("run-a", created_ts=100.0),
+            record("run-b", created_ts=200.0),
+        ])
+        assert report.singleton_runs == 0
+        assert report.summary() == (
+            "no regressions across 1 compared family (2 run(s))"
+        )
+
+    def test_findings_summary_also_counts_skipped_singletons(self):
+        report = scan_records([
+            record("run-a", created_ts=100.0, digest="a" * 64),
+            record("run-b", created_ts=200.0, digest="b" * 64),
+            record(
+                "run-c", created_ts=300.0,
+                config={**manifest("x")["config"], "scheme": "B"},
+            ),
+        ])
+        assert not report.ok and report.singleton_runs == 1
+        assert report.summary().endswith(
+            "1 digest drift(s), 0 slowdown(s); "
+            "1 run(s) skipped as the only run of their family"
+        )
 
     def test_non_completed_runs_excluded_by_default(self):
         report = scan_records([
