@@ -29,8 +29,9 @@ trials out over ``N`` processes (``0`` = all cores); results are
 bit-identical at any worker count (see ``repro.parallel``).
 
 ``sweep`` additionally accepts ``--batch-trials N`` (group same-``n``
-trials into batches of at most ``N`` and drive the batched flow kernels
-of ``repro.routing.batched``; bit-identical to the per-trial path).
+trials into batches of at most ``N``, each one composite execution and
+retry unit; every scheme has one flow kernel, so results are
+bit-identical to the per-trial path).
 
 They also accept ``--store DIR`` to journal every completed trial into a
 persistent, content-addressed store (see ``repro.store``): re-invoking the
@@ -734,8 +735,9 @@ def main(argv=None) -> int:
     )
     cmd.add_argument(
         "--batch-trials", type=int, default=None, metavar="N",
-        help="group same-n trials into batches of at most N and use the "
-        "batched flow kernels (bit-identical to per-trial execution)",
+        help="group same-n trials into batches of at most N, each run as "
+        "one composite execution and retry unit (bit-identical to "
+        "per-trial execution)",
     )
     cmd.add_argument(
         "--fabric", action="store_true",

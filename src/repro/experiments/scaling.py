@@ -6,10 +6,10 @@ of a chosen scheme (median over independent trials), and fit the
 ``log lambda`` vs ``log n`` slope for comparison with the closed-form
 exponent of :mod:`repro.core.capacity`.
 
-Every trial's flow analysis runs in float64 numpy.  ``batch_trials``
-routes same-``n`` trials of schemes B and C through the trial-batched
-kernels of :mod:`repro.routing.batched`, whose values are bit-identical
-to the per-trial path, so a sweep's digest does not depend on batching.
+Every trial's flow analysis runs in float64 numpy, with one kernel per
+scheme.  ``batch_trials`` only groups same-``n`` trials into composite
+execution units (one submission, one retry unit); each member still runs
+the per-trial path, so a sweep's digest does not depend on batching.
 """
 
 from __future__ import annotations
@@ -26,19 +26,12 @@ from ..core.capacity import (
     per_node_capacity,
 )
 from ..core.order import Order
-from ..core.regimes import MobilityRegime, NetworkParameters
-from ..observability.events import BatchDegradedToSerial, get_telemetry
+from ..core.regimes import NetworkParameters
 from ..observability.log import get_logger
 from ..observability.timing import span
 from ..parallel import BatchedTrialPlan, TrialRunner, TrialStats
 from ..resilience import ResilienceConfig, check_min_success, validate_rate
 from ..routing.base import FlowResult
-from ..routing.batched import (
-    batched_scheme_c_attach,
-    batched_zone_access,
-    scheme_b_flow,
-)
-from ..routing.scheme_c import SchemeC
 from ..simulation.network import HybridNetwork
 from ..store import TrialSeed, content_digest, open_store, trial_key
 from ..utils.fitting import PowerLawFit, fit_power_law
@@ -98,10 +91,9 @@ def theory_order(parameters: NetworkParameters, scheme: str) -> Order:
     if scheme in ("B", "C"):
         return infrastructure_capacity(parameters)
     if scheme == "static":
-        if parameters.regime is MobilityRegime.STRONG:
-            # strong mobility still pays the enlarged-range price when forced
-            # to route statically at R_T = sqrt(gamma)
-            return (Order(1) * parameters.gamma.sqrt()).reciprocal()
+        # the same order in every regime: strong mobility too pays the
+        # enlarged-range price when forced to route statically at
+        # R_T = sqrt(gamma)
         return (Order(1) * parameters.gamma.sqrt()).reciprocal()
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -184,109 +176,29 @@ def _sweep_trial(rng: np.random.Generator, payload: tuple) -> float:
     """One sweep trial (module-level so it pickles into pool workers).
 
     Payloads carry an explicit :class:`TrialSeed`; the generator is rebuilt
-    from it (bit-identical to the runner's index-spawned stream), so the
-    trial's value is fully determined by the payload itself -- the property
-    the content-addressed cache keys rely on.  Legacy 5-tuples without a
-    seed fall back to the runner-provided generator.
+    from it (bit-identical to the runner's index-spawned stream ``rng``),
+    so the trial's value is fully determined by the payload itself -- the
+    property the content-addressed cache keys rely on.
     """
-    parameters, n, scheme, build_kwargs, generic = payload[:5]
-    if len(payload) > 5 and payload[5] is not None:
-        rng = payload[5].rng()
-    result = measure_rate(parameters, n, rng, scheme, **build_kwargs)
+    parameters, n, scheme, build_kwargs, generic, trial_seed = payload
+    result = measure_rate(parameters, n, trial_seed.rng(), scheme, **build_kwargs)
     if generic:
         return float(result.details.get("generic_rate", result.per_node_rate))
     return float(result.per_node_rate)
 
 
-def _payload_rate(result: FlowResult, generic: bool) -> float:
-    """The scalar a sweep trial reports for one flow result."""
-    if generic:
-        return float(result.details.get("generic_rate", result.per_node_rate))
-    return float(result.per_node_rate)
+def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
+    """Execute one same-``n`` batch of sweep trials, member by member
+    (module-level so it pickles into pool workers).
 
-
-def _serial_members(seed_seqs, payloads) -> List[float]:
-    """Per-member serial fallback of one batch (bit-identical by construction)."""
+    A batch is one composite execution and retry unit; every member runs
+    the per-trial path with its own payload seed, so the values are
+    exactly the serial ones.
+    """
     return [
         _sweep_trial(np.random.default_rng(seed_seq), payload)
         for seed_seq, payload in zip(seed_seqs, payloads)
     ]
-
-
-def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
-    """Execute one same-shape batch of sweep trials (module-level, picklable).
-
-    Every member's network is still built serially with its own payload
-    seed (construction consumes RNG in a fixed order that must match the
-    serial trial exactly); the *flow analysis* -- the hot part -- is then
-    batched: one :func:`batched_zone_access` call plus vectorised session
-    counting for scheme B, one :func:`batched_scheme_c_attach` call for
-    scheme C.  Schemes without a batched kernel, width-1 batches, and
-    batches whose realisations disagree on stacked shapes (a degenerate
-    draw changed ``k``) fall back to the serial per-member path, so the
-    returned values are always exactly the serial ones.
-    """
-    parameters, n, scheme, build_kwargs, generic = payloads[0][:5]
-    if len(payloads) == 1 or scheme not in ("B", "C"):
-        return _serial_members(seed_seqs, payloads)
-    rngs = [
-        payload[5].rng()
-        if len(payload) > 5 and payload[5] is not None
-        else np.random.default_rng(seed_seq)
-        for seed_seq, payload in zip(seed_seqs, payloads)
-    ]
-    nets = [
-        HybridNetwork.build(parameters, int(n), rng, **build_kwargs)
-        for rng in rngs
-    ]
-    traffics = [net.sample_traffic() for net in nets]
-    if any(net.bs_positions is None for net in nets) or len(
-        {net.bs_positions.shape for net in nets}
-    ) != 1:
-        return _serial_members(seed_seqs, payloads)
-    if scheme == "B":
-        zones = [net.scheme_b_zones() for net in nets]
-        access = batched_zone_access(
-            np.stack([net.home_model.points for net in nets]),
-            np.stack([net.bs_positions for net in nets]),
-            np.stack([ms_zone for ms_zone, _bs_zone in zones]),
-            np.stack([bs_zone for _ms_zone, bs_zone in zones]),
-            nets[0].shape,
-            nets[0].realized.f,
-            nets[0].access_transmission_range(),
-        )
-        values = []
-        for member, net in enumerate(nets):
-            per_node, generic_rate = scheme_b_flow(
-                access[member],
-                zones[member][0],
-                zones[member][1],
-                net.backbone,
-                traffics[member].destination,
-            )
-            values.append(float(generic_rate if generic else per_node))
-        return values
-    cell, distance = batched_scheme_c_attach(
-        np.stack([net.process.positions() for net in nets]),
-        np.stack([net.bs_positions for net in nets]),
-        np.stack([net.home_model.assignment for net in nets]),
-        np.stack([net._bs_cluster_assignment() for net in nets]),
-        chunk_size=SchemeC._CHUNK,
-    )
-    values = []
-    for member, net in enumerate(nets):
-        scheme_c = SchemeC(
-            ms_positions=net.process.positions(),
-            bs_positions=net.bs_positions,
-            ms_cluster=net.home_model.assignment,
-            bs_cluster=net._bs_cluster_assignment(),
-            backbone=net.backbone,
-            delta=net.delta,
-            attach=(cell[member], distance[member]),
-        )
-        result = scheme_c.sustainable_rate(traffics[member])
-        values.append(_payload_rate(result, generic))
-    return values
 
 
 def sweep_trial_payloads(
@@ -388,10 +300,10 @@ def sweep_capacity(
     resumes from the journal and reproduces the uninterrupted digest.
 
     ``batch_trials`` (``>= 2``) groups same-``n`` trials into batches of
-    at most that width and drives the batched flow kernels
-    (:mod:`repro.routing.batched`) instead of one full scheme object per
-    trial.  The batched rates -- and the sweep digest -- are
-    bit-identical to the per-trial path at any worker count.
+    at most that width; a batch is one composite execution and retry
+    unit whose members run the same per-scheme kernel as per-trial
+    execution.  The rates -- and the sweep digest -- are bit-identical
+    to the per-trial path at any worker count.
 
     ``executor`` (a :class:`repro.parallel.SweepExecutor`, e.g.
     :class:`repro.fabric.FabricExecutor`) replaces the in-process trial
@@ -417,7 +329,6 @@ def sweep_capacity(
         parameters, n_values, scheme, trials, build_kwargs, generic, seed=seed
     )
     keys = _sweep_trial_keys(payloads) if store is not None else None
-    sink = get_telemetry()
     _log.info(
         "sweep_capacity: scheme=%s grid=%s trials=%d seed=%d workers=%s "
         "store=%s batch_trials=%s",
@@ -425,26 +336,6 @@ def sweep_capacity(
         getattr(store, "root", None), batch_trials,
     )
     resilience = resilience if resilience is not None else ResilienceConfig()
-    if batch_trials is not None and scheme not in ("B", "C"):
-        # _batched_sweep_trial runs these schemes member-by-member: the
-        # user asked for batching but gets serial execution inside each
-        # batch.  Say so -- silently honouring the flag reads as a perf
-        # win that is not happening.
-        _log.warning(
-            "scheme %r has no batched flow kernel; batch_trials=%d will "
-            "execute each batch serially member-by-member (results are "
-            "identical, the vectorisation speedup is not)",
-            scheme,
-            batch_trials,
-        )
-        if sink.enabled:
-            sink.emit(
-                BatchDegradedToSerial(
-                    scheme=scheme,
-                    batch_trials=batch_trials,
-                    reason="no_batched_kernel",
-                )
-            )
     config = {
         "scheme": scheme,
         "n_values": [int(n) for n in n_values],

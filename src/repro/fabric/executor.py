@@ -21,9 +21,9 @@ Graceful degradation (the robustness core):
   errors (never re-executed locally -- it killed two agents; the parent
   is not volunteering), and the sweep completes ``status="partial"``.
 
-Batches are not distributed: a batch is one composite trial of an
-intra-process vectorization, so a ``run_batched`` job logs a warning and
-runs every unit locally through the runner's own pool/inline machinery.
+Batches are not distributed: a batch is one composite, intra-process
+execution unit, so a ``run_batched`` job logs a warning and runs every
+unit locally through the runner's own pool/inline machinery.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class FabricExecutor(SweepExecutor):
             )
         if job.batched:
             _log.warning(
-                "batched execution is an intra-process vectorization; "
+                "a batch is one intra-process execution unit; "
                 "--fabric does not distribute it -- running the batches "
                 "locally"
             )

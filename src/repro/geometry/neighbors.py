@@ -36,7 +36,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .torus import batched_pairwise_distances, pairwise_distances, wrap
+from .torus import pairwise_distances, wrap
 
 __all__ = [
     "CellGridIndex",
@@ -44,7 +44,6 @@ __all__ = [
     "pair_distances",
     "iter_distance_chunks",
     "masked_nearest",
-    "batched_masked_nearest",
     "adjacency_lists",
     "DEFAULT_CHUNK",
 ]
@@ -604,48 +603,6 @@ def masked_nearest(
         found = np.isfinite(best_distance)
         nearest[rows][found] = best[found]
         distance[rows][found] = best_distance[found]
-    return nearest, distance
-
-
-def batched_masked_nearest(
-    points: np.ndarray,
-    others: np.ndarray,
-    point_labels: Optional[np.ndarray] = None,
-    other_labels: Optional[np.ndarray] = None,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`masked_nearest` over a leading batch axis.
-
-    ``points`` is ``(B, n, 2)``, ``others`` ``(B, k, 2)``, labels
-    ``(B, n)`` / ``(B, k)``; returns ``(B, n)`` ``nearest`` / ``distance``
-    arrays where slice ``b`` equals ``masked_nearest(points[b], ...)``
-    (argmin ties break to the first candidate in both paths).  Rows are
-    chunked so at most ``chunk_size * k`` distances are live per slice.
-    """
-    points = np.asarray(points, dtype=float)
-    others = np.asarray(others, dtype=float)
-    if (point_labels is None) != (other_labels is None):
-        raise ValueError("provide labels for both sides or neither")
-    batches, count = points.shape[:2]
-    nearest = np.full((batches, count), -1, dtype=int)
-    distance = np.full((batches, count), np.inf)
-    if count == 0 or others.shape[1] == 0:
-        return nearest, distance
-    if point_labels is not None:
-        point_labels = np.asarray(point_labels)
-        other_labels = np.asarray(other_labels)
-    rows_per_chunk = max(1, chunk_size // max(batches, 1))
-    for begin in range(0, count, rows_per_chunk):
-        rows = slice(begin, min(begin + rows_per_chunk, count))
-        block = batched_pairwise_distances(points[:, rows], others)
-        if point_labels is not None:
-            mask = point_labels[:, rows, None] == other_labels[:, None, :]
-            block = np.where(mask, block, np.inf)
-        best = block.argmin(axis=-1)
-        best_distance = np.take_along_axis(block, best[..., None], axis=-1)[..., 0]
-        found = np.isfinite(best_distance)
-        nearest[:, rows][found] = best[found]
-        distance[:, rows][found] = best_distance[found]
     return nearest, distance
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "torus_delta",
     "torus_distance",
     "pairwise_distances",
-    "batched_pairwise_distances",
     "within_range",
     "random_points",
     "disk_sample",
@@ -76,30 +75,6 @@ def pairwise_distances(points: np.ndarray, others: Optional[np.ndarray] = None) 
     dx -= np.round(dx)
     dx *= dx
     dy = points[:, 1, None] - others[None, :, 1]
-    dy -= np.round(dy)
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
-
-
-def batched_pairwise_distances(
-    points: np.ndarray,
-    others: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Torus distances for a *stack* of point sets along a leading batch axis.
-
-    ``points`` is ``(B, n, 2)`` and ``others`` (default ``points``) is
-    ``(B, k, 2)``; the result is ``(B, n, k)`` where slice ``b`` equals
-    :func:`pairwise_distances` on the ``b``-th point sets.  Every
-    operation is elementwise, so each slice is *bit-identical* to the
-    serial kernel.
-    """
-    points = np.asarray(points, dtype=float)
-    others = points if others is None else np.asarray(others, dtype=float)
-    dx = points[..., :, 0, None] - others[..., None, :, 0]
-    dx -= np.round(dx)
-    dx *= dx
-    dy = points[..., :, 1, None] - others[..., None, :, 1]
     dy -= np.round(dy)
     dy *= dy
     dx += dy

@@ -14,8 +14,8 @@ measurement substrate those runs report through:
 - :mod:`repro.observability.events` -- typed telemetry events
   (``trial_started`` / ``trial_finished`` / ``trial_cached`` /
   ``trial_failed``, the resilience lifecycle ``trial_retried`` /
-  ``fault_injected`` / ``pool_rebuilt`` / ``degraded_to_serial`` /
-  ``batch_degraded_to_serial``, the fabric lifecycle
+  ``fault_injected`` / ``pool_rebuilt`` / ``degraded_to_serial``, the
+  fabric lifecycle
   ``agent_registered`` / ``agent_delisted`` / ``lease_granted`` /
   ``lease_expired`` / ``shard_requeued`` / ``shard_quarantined`` /
   ``fabric_degraded``,
@@ -41,7 +41,6 @@ emits as futures complete, so pool workers never touch the sink.
 from .events import (
     AgentDelisted,
     AgentRegistered,
-    BatchDegradedToSerial,
     CompositeTelemetry,
     DegradedToSerial,
     FabricDegraded,
@@ -79,7 +78,6 @@ from .trace import JsonlTraceSink, open_trace
 __all__ = [
     "AgentDelisted",
     "AgentRegistered",
-    "BatchDegradedToSerial",
     "CompositeTelemetry",
     "DegradedToSerial",
     "FabricDegraded",

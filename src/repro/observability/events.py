@@ -33,7 +33,6 @@ __all__ = [
     "FaultInjected",
     "PoolRebuilt",
     "DegradedToSerial",
-    "BatchDegradedToSerial",
     "AgentRegistered",
     "AgentDelisted",
     "LeaseGranted",
@@ -175,23 +174,6 @@ class DegradedToSerial(TelemetryEvent):
     EVENT: ClassVar[str] = "degraded_to_serial"
     rebuilds: int
     quarantined: tuple
-
-
-@dataclass(frozen=True)
-class BatchDegradedToSerial(TelemetryEvent):
-    """``run_batched`` fell back to the per-member serial path.
-
-    The batched kernels cover schemes B/C only; any other scheme executes
-    its batch members one by one, so the user-visible throughput is serial
-    even though ``--batch-trials`` was requested.  ``scheme`` names the
-    offender, ``batch_trials`` the requested width, ``reason`` why the
-    batch path could not apply.
-    """
-
-    EVENT: ClassVar[str] = "batch_degraded_to_serial"
-    scheme: str
-    batch_trials: int
-    reason: str
 
 
 @dataclass(frozen=True)

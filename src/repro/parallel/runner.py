@@ -789,27 +789,35 @@ class TrialRunner:
         return fault
 
     def _arm(self, job: _Job, unit, attempt: int, inline: bool) -> tuple:
-        """Announce one attempt of ``unit`` and build its ``_execute_trial``
-        arguments, armed with the fault of the lowest-indexed member that
-        has one for this attempt."""
-        for index in unit:
-            job.emitter.started(index, attempt)
-        fault = None
+        """``(fault member, arguments)`` of one attempt of ``unit``: its
+        ``_execute_trial`` arguments, armed with the fault of the
+        lowest-indexed member that has one for this attempt (``None``
+        when no member has)."""
+        fault = faulted = None
         for index in unit:
             fault = self._fault_for(index, attempt, inline)
             if fault is not None:
-                job.emitter.fault(index, attempt, fault)
+                faulted = index
                 break
         if job.batched:
-            return (
+            return faulted, (
                 job.fn, unit[0], [job.seeds[i] for i in unit],
                 [job.payloads[i] for i in unit], self._timeout, fault,
                 len(unit),
             )
-        return (
+        return faulted, (
             job.fn, unit[0], job.seeds[unit[0]], job.payloads[unit[0]],
             self._timeout, fault,
         )
+
+    @staticmethod
+    def _announce(job: _Job, unit, attempt: int, armed: tuple) -> None:
+        """Emit the started events of one attempt and its armed fault."""
+        for index in unit:
+            job.emitter.started(index, attempt)
+        faulted, arguments = armed
+        if faulted is not None:
+            job.emitter.fault(faulted, attempt, arguments[5])
 
     def _verdict(self, value) -> Optional[str]:
         """Parent-side validation of one member value (``None`` = valid)."""
@@ -995,9 +1003,9 @@ class TrialRunner:
             while True:
                 attempts[unit[0]] += 1
                 attempt = attempts[unit[0]]
-                outcome = _execute_trial(
-                    *self._arm(job, unit, attempt, inline=True)
-                )
+                armed = self._arm(job, unit, attempt, inline=True)
+                self._announce(job, unit, attempt, armed)
+                outcome = _execute_trial(*armed[1])
                 checked = self._check(job, unit, outcome)
                 delay = self._retry_delay(job, unit, checked[0], attempt)
                 if delay is None:
@@ -1022,17 +1030,26 @@ class TrialRunner:
             inflight = {}  # future -> (unit, deadline or None)
             while pending or inflight:
                 deferred = []
+                broken = False
                 now = time.monotonic()
                 while pending and len(inflight) < window:
                     unit, ready = pending.popleft()
                     if ready > now:
                         deferred.append((unit, ready))
                         continue
-                    attempts[unit[0]] += 1
-                    future = executor.submit(
-                        _execute_trial,
-                        *self._arm(job, unit, attempts[unit[0]], inline=False),
-                    )
+                    attempt = attempts[unit[0]] + 1
+                    armed = self._arm(job, unit, attempt, inline=False)
+                    try:
+                        future = executor.submit(_execute_trial, *armed[1])
+                    except BrokenProcessPool:
+                        # a unit submitted earlier killed its worker: this
+                        # one never ran, so it keeps its attempt and waits
+                        # for the rebuilt pool
+                        pending.appendleft((unit, ready))
+                        broken = True
+                        break
+                    attempts[unit[0]] = attempt
+                    self._announce(job, unit, attempt, armed)
                     deadline = (
                         now + self._timeout + self.HARD_TIMEOUT_GRACE
                         if self._timeout is not None
@@ -1040,7 +1057,7 @@ class TrialRunner:
                     )
                     inflight[future] = (unit, deadline)
                 pending.extend(deferred)
-                if not inflight:
+                if not inflight and not broken:
                     # everything pending is backing off; nap until the
                     # earliest retry becomes ready
                     wake = min(ready for _unit, ready in pending)
@@ -1049,7 +1066,6 @@ class TrialRunner:
                 done, _ = wait(
                     list(inflight), timeout=0.05, return_when=FIRST_COMPLETED
                 )
-                broken = False
                 for future in done:
                     unit, _deadline = inflight.pop(future)
                     try:

@@ -1,14 +1,8 @@
 """The paper's communication schemes (A, B, C) and the static baseline."""
 
 from .base import FlowResult, RoutingScheme
-from .batched import (
-    batched_scheme_c_attach,
-    batched_zone_access,
-    scheme_b_flow,
-    zone_pair_sessions,
-)
 from .scheme_a import SchemeA
-from .scheme_b import SchemeB
+from .scheme_b import SchemeB, zone_pair_sessions
 from .scheme_c import SchemeC
 from .scheme_l import SchemeL
 from .static_multihop import StaticMultihop
@@ -21,8 +15,5 @@ __all__ = [
     "SchemeC",
     "SchemeL",
     "StaticMultihop",
-    "batched_scheme_c_attach",
-    "batched_zone_access",
-    "scheme_b_flow",
     "zone_pair_sessions",
 ]

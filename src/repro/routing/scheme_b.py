@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..geometry.neighbors import DEFAULT_CHUNK, iter_distance_chunks
+from ..geometry.neighbors import DEFAULT_CHUNK
 from ..geometry.tessellation import SquareTessellation
 from ..geometry.torus import pairwise_distances
 from ..infrastructure.backbone import Backbone
@@ -37,7 +37,42 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from ..wireless.link_capacity import contact_probability_ms_bs_at_range
 from .base import FlowResult, RoutingScheme
 
-__all__ = ["SchemeB"]
+__all__ = ["SchemeB", "zone_pair_sessions"]
+
+
+def zone_pair_sessions(
+    ms_zone: np.ndarray, destination: np.ndarray
+) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Ordered inter-zone session counts plus the intra-zone session count.
+
+    Session ``i`` runs from MS ``i`` to MS ``destination[i]``.  The dict
+    lists each ``(source_zone, dest_zone)`` key in first-occurrence order
+    over the session index.  That order matters:
+    :meth:`Backbone.spread_scale` on non-mesh topologies accumulates float
+    loads key by key, and float addition is not associative.
+    """
+    ms_zone = np.asarray(ms_zone, dtype=np.int64)
+    destination = np.asarray(destination, dtype=int)
+    source_zone = ms_zone[: destination.shape[0]]
+    dest_zone = ms_zone[destination]
+    inter = source_zone != dest_zone
+    intra = int(destination.shape[0] - np.count_nonzero(inter))
+    sessions: Dict[Tuple[int, int], int] = {}
+    if not inter.any():
+        return sessions, intra
+    sz = source_zone[inter]
+    dz = dest_zone[inter]
+    offset = int(min(sz.min(), dz.min()))
+    width = int(max(sz.max(), dz.max())) - offset + 1
+    codes = (sz - offset) * width + (dz - offset)
+    unique, first, counts = np.unique(
+        codes, return_index=True, return_counts=True
+    )
+    for position in np.argsort(first, kind="stable"):
+        code = int(unique[position])
+        key = (code // width + offset, code % width + offset)
+        sessions[key] = int(counts[position])
+    return sessions, intra
 
 
 class SchemeB(RoutingScheme):
@@ -162,22 +197,38 @@ class SchemeB(RoutingScheme):
         transmission_range: float,
         chunk_size: int = DEFAULT_CHUNK,
     ) -> np.ndarray:
-        """``mu_i^A`` per MS, computed zone-masked and chunked so no
-        ``n x k`` matrix is ever materialised (row blocks come from the
-        shared :func:`~repro.geometry.neighbors.iter_distance_chunks`)."""
+        """``mu_i^A`` per MS without materialising the ``n x k`` matrix.
+
+        Zone-blocked: only in-zone ``(MS, BS)`` pairs reach the contact
+        kernel, in row chunks of at most ``chunk_size``.  Each chunk is
+        scattered into full-width ``(rows, k)`` zero rows before the sum,
+        so every value is bit-identical to the dense masked sum
+        ``np.where(same_zone, access_matrix, 0).sum(axis=1)``.  MSs of a
+        zone with no BS keep an access of 0.
+        """
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         ms_home = np.atleast_2d(np.asarray(ms_home, dtype=float))
         bs_positions = np.atleast_2d(np.asarray(bs_positions, dtype=float))
         ms_zone = np.asarray(ms_zone, dtype=int)
         bs_zone = np.asarray(bs_zone, dtype=int)
+        k = bs_positions.shape[0]
         access = np.zeros(ms_home.shape[0], dtype=float)
-        for rows, distances in iter_distance_chunks(
-            ms_home, bs_positions, chunk_size
-        ):
-            mu = contact_probability_ms_bs_at_range(
-                shape, f, transmission_range, distances
-            )
-            mask = ms_zone[rows, None] == bs_zone[None, :]
-            access[rows] = np.where(mask, mu, 0.0).sum(axis=1)
+        for zone in np.unique(bs_zone):
+            rows = np.nonzero(ms_zone == zone)[0]
+            cols = np.nonzero(bs_zone == zone)[0]
+            stations = bs_positions[cols]
+            for lo in range(0, rows.size, chunk_size):
+                chunk = rows[lo:lo + chunk_size]
+                mu = contact_probability_ms_bs_at_range(
+                    shape,
+                    f,
+                    transmission_range,
+                    pairwise_distances(ms_home[chunk], stations),
+                )
+                padded = np.zeros((chunk.size, k), dtype=mu.dtype)
+                padded[:, cols] = mu
+                access[chunk] = padded.sum(axis=-1)
         return access
 
     # ------------------------------------------------------------------
@@ -226,29 +277,19 @@ class SchemeB(RoutingScheme):
         access = self.ms_access_capacity()
         access_rate = float(access.min()) / 2.0
         worst_ms = int(access.argmin())
-        # Phase II: accumulate unit-rate zone-to-zone flows on the backbone,
-        # batched per ordered zone pair (sessions between the same zones
-        # share the same wire set).
-        intra_zone = 0
-        missing_bs = False
-        zone_pair_sessions: Dict[Tuple[int, int], int] = {}
-        for source, dest in traffic.pairs():
-            source_zone = int(self._ms_zone[source])
-            dest_zone = int(self._ms_zone[dest])
-            if source_zone == dest_zone:
-                intra_zone += 1
-                continue
-            key = (source_zone, dest_zone)
-            zone_pair_sessions[key] = zone_pair_sessions.get(key, 0) + 1
-        for source_zone, dest_zone in zone_pair_sessions:
-            if (
-                self.bs_set(source_zone).size == 0
-                or self.bs_set(dest_zone).size == 0
-            ):
-                missing_bs = True
+        # Phase II: unit-rate zone-to-zone flows on the backbone, counted
+        # per ordered zone pair (sessions between the same zones share the
+        # same wire set).
+        sessions, intra_zone = zone_pair_sessions(
+            self._ms_zone, traffic.destination
+        )
+        missing_bs = any(
+            self.bs_set(source_zone).size == 0 or self.bs_set(dest_zone).size == 0
+            for source_zone, dest_zone in sessions
+        )
         backbone_rate = self._backbone.spread_scale(
             self._bs_zone,
-            {pair: float(count) for pair, count in zone_pair_sessions.items()},
+            {pair: float(count) for pair, count in sessions.items()},
         )
         if missing_bs:
             # a zone with sessions but no BS cannot be served by scheme B

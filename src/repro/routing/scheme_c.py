@@ -15,7 +15,7 @@ Theorem 9: this sustains ``lambda = Theta(min{k^2 c / n, k / n})``.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import networkx as nx
 import numpy as np
@@ -50,13 +50,6 @@ class SchemeC(RoutingScheme):
     delta:
         Protocol-model guard constant, used to build the cell-interference
         graph for the TDMA grouping.
-    attach:
-        Optional precomputed ``(cell_of_ms, attach_distance)`` pair, as
-        produced by the nearest-same-cluster-BS search.  The trial-batched
-        sweep computes attachments for a whole batch of realisations in one
-        :func:`~repro.geometry.neighbors.batched_masked_nearest` call and
-        injects each slice here; everything downstream (cell range,
-        colouring, flow analysis) is unchanged.
     """
 
     def __init__(
@@ -67,7 +60,6 @@ class SchemeC(RoutingScheme):
         bs_cluster: np.ndarray,
         backbone: Backbone,
         delta: float = 1.0,
-        attach: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ):
         self._ms = np.atleast_2d(np.asarray(ms_positions, dtype=float))
         self._bs = np.atleast_2d(np.asarray(bs_positions, dtype=float))
@@ -84,16 +76,7 @@ class SchemeC(RoutingScheme):
             raise ValueError(
                 f"backbone has {backbone.bs_count} BSs but {k} positions given"
             )
-        if attach is None:
-            self._cell_of_ms = self._attach()
-        else:
-            cell, attach_distance = attach
-            cell = np.asarray(cell, dtype=int)
-            attach_distance = np.asarray(attach_distance, dtype=float)
-            if cell.shape[0] != n or attach_distance.shape[0] != n:
-                raise ValueError("attach arrays must have one entry per MS")
-            self._attach_distance = attach_distance
-            self._cell_of_ms = cell
+        self._cell_of_ms = self._attach()
         self._cell_range = self._compute_cell_range()
         self._groups = self._color_cells()
 

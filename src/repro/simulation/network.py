@@ -233,9 +233,8 @@ class HybridNetwork:
     def scheme_b_zones(self, cells_per_side: Optional[int] = None):
         """The ``(ms_zone, bs_zone)`` assignment scheme B operates on:
         squarelet zones in the strong regime, cluster zones otherwise
-        (Theorem 7).  Shared by :meth:`scheme_b` and the trial-batched
-        sweep path, which computes the access vectors for a whole batch
-        of realisations at once."""
+        (Theorem 7), from which :meth:`scheme_b` builds its per-MS access
+        vector."""
         if self.bs_positions is None or self.backbone is None:
             raise ValueError("scheme B needs infrastructure")
         if self.parameters.regime is MobilityRegime.STRONG:

@@ -1,7 +1,8 @@
 """End-to-end digest equality for trial-batched capacity sweeps.
 
-The headline acceptance test of the batched path: a batched sweep
-reproduces the serial sweep digest bit-for-bit at any worker count.
+A batch only groups same-``n`` trials into one composite execution unit;
+every scheme has one flow kernel, so a batched sweep reproduces the
+serial sweep digest bit-for-bit at any worker count.
 """
 
 import numpy as np
@@ -9,8 +10,6 @@ import pytest
 
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity
-from repro.observability import RecordingTelemetry
-from repro.observability.events import BatchDegradedToSerial, using_telemetry
 from repro.serve.index import family_key
 from repro.store import RunStore
 
@@ -43,14 +42,25 @@ class TestDigestEquality:
         assert np.array_equal(got.rates, want.rates)
         assert got.digest() == want.digest()
 
-    def test_scheme_c_batched_matches_serial(self):
+    @pytest.mark.parametrize(
+        "scheme, parameters, build_kwargs",
+        [
+            ("optimal", STRONG, {}),
+            ("A", STRONG, {}),
+            ("static", STRONG, {}),
+            ("C", TRIVIAL_BS, {"mobility": "static"}),
+        ],
+    )
+    def test_every_scheme_reproduces_serial_digest(
+        self, scheme, parameters, build_kwargs
+    ):
         kwargs = dict(
-            parameters=TRIVIAL_BS,
+            parameters=parameters,
             n_values=GRID,
-            scheme="C",
+            scheme=scheme,
             trials=3,
             seed=7,
-            build_kwargs={"mobility": "static"},
+            build_kwargs=build_kwargs,
         )
         want = sweep_capacity(**kwargs)
         got = sweep_capacity(**kwargs, batch_trials=3)
@@ -113,36 +123,3 @@ class TestRecordedManifest:
         assert len(runs) == 2
         assert family_key(runs[0]) == family_key(runs[1])
         assert {run["digest"] for run in runs} == {serial.digest()}
-
-
-class TestSerialFallbackWarning:
-    def test_scheme_without_batched_kernel_emits_degradation_event(
-        self, caplog
-    ):
-        sink = RecordingTelemetry()
-        with using_telemetry(sink):
-            with caplog.at_level(
-                "WARNING", logger="repro.experiments.scaling"
-            ):
-                result = sweep_capacity(
-                    STRONG, GRID, scheme="A", trials=2, seed=5,
-                    batch_trials=3,
-                )
-        events = sink.of_type(BatchDegradedToSerial)
-        assert len(events) == 1
-        assert events[0].scheme == "A"
-        assert events[0].batch_trials == 3
-        assert events[0].reason == "no_batched_kernel"
-        assert any(
-            "serially member-by-member" in record.message
-            for record in caplog.records
-        )
-        # the fallback is still correct, just not vectorized
-        want = sweep_capacity(STRONG, GRID, scheme="A", trials=2, seed=5)
-        assert result.digest() == want.digest()
-
-    def test_batched_scheme_does_not_emit_degradation(self):
-        sink = RecordingTelemetry()
-        with using_telemetry(sink):
-            serial_sweep(batch_trials=3)
-        assert sink.of_type(BatchDegradedToSerial) == []

@@ -97,6 +97,19 @@ class TestPairsWithinMatchesDense:
         i, j, d = CellGridIndex(np.array([[0.2, 0.8]])).pairs_within(0.3)
         assert i.size == j.size == d.size == 0
 
+    @pytest.mark.parametrize("r", [0.02, 0.08, 0.3, 0.9])
+    def test_independent_point_sets(self, r):
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            _assert_pairs_match(rng.random((120, 2)), r)
+
+    def test_small_sets_take_the_dense_path(self):
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            pts = rng.random((8, 2))
+            assert pts.shape[0] <= _SMALL_N
+            _assert_pairs_match(pts, 0.4)
+
     def test_out_of_domain_coordinates_keep_raw_distances(self):
         """Unwrapped inputs: cells come from wrapped copies but distances
         are evaluated on the raw coordinates, exactly like the dense
@@ -246,3 +259,57 @@ class TestSharedChunkHelpers:
             for node in range(5)
         }
         assert neighbors == {0: [1, 3], 1: [0], 2: [4], 3: [0], 4: [2]}
+
+
+class TestMaskedNearestEdgeCases:
+    def test_orphan_labels_surface_as_minus_one(self):
+        rng = np.random.default_rng(10)
+        nearest, distance = masked_nearest(
+            rng.random((10, 2)),
+            rng.random((4, 2)),
+            np.full(10, 7),  # no candidate carries label 7
+            np.zeros(4, dtype=int),
+        )
+        assert np.all(nearest == -1)
+        assert np.all(np.isinf(distance))
+
+    @pytest.mark.parametrize("chunk_size", [1, 4, 5, 64])
+    def test_chunk_size_changes_nothing(self, chunk_size):
+        rng = np.random.default_rng(11)
+        pts, others = rng.random((30, 2)), rng.random((5, 2))
+        labels_p = rng.integers(0, 2, size=30)
+        labels_o = rng.integers(0, 2, size=5)
+        whole = masked_nearest(pts, others, labels_p, labels_o, chunk_size=30)
+        chunked = masked_nearest(
+            pts, others, labels_p, labels_o, chunk_size=chunk_size
+        )
+        np.testing.assert_array_equal(whole[0], chunked[0])
+        np.testing.assert_array_equal(whole[1], chunked[1])
+
+    def test_unlabeled_in_tiny_chunks_matches_dense(self):
+        rng = np.random.default_rng(12)
+        pts, others = rng.random((20, 2)), rng.random((6, 2))
+        nearest, distance = masked_nearest(pts, others, chunk_size=5)
+        dense = pairwise_distances(pts, others)
+        best = dense.argmin(axis=1)
+        np.testing.assert_array_equal(nearest, best)
+        np.testing.assert_array_equal(distance, dense[np.arange(20), best])
+
+    def test_no_candidates_leaves_every_row_unmatched(self):
+        nearest, distance = masked_nearest(
+            np.random.default_rng(13).random((5, 2)), np.empty((0, 2))
+        )
+        assert nearest.shape == (5,) and np.all(nearest == -1)
+        assert np.all(np.isinf(distance))
+
+    def test_no_points(self):
+        nearest, distance = masked_nearest(np.empty((0, 2)), np.zeros((3, 2)))
+        assert nearest.shape == distance.shape == (0,)
+
+    def test_other_labels_alone_rejected(self):
+        with pytest.raises(ValueError, match="both sides"):
+            masked_nearest(
+                np.zeros((5, 2)),
+                np.zeros((3, 2)),
+                other_labels=np.zeros(3, dtype=int),
+            )

@@ -10,6 +10,8 @@ execution with the repeat-offender payloads quarantined, never hang.
 
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.observability import (
     PoolRebuilt,
     RecordingTelemetry,
     TrialRetried,
+    TrialStarted,
 )
 from repro.parallel import TrialRunner
 from repro.resilience import (
@@ -238,6 +241,40 @@ class TestCrashStormDegradation:
         )
         assert runner.last_stats.degraded
         assert sink.of_type(DegradedToSerial)
+
+
+class _BreaksOnFirstSubmit(ProcessPoolExecutor):
+    """A pool whose first ``submit`` finds it already broken, as when a
+    worker killed by an earlier unit of the same fill loop broke it."""
+
+    broke = False
+
+    def submit(self, *args, **kwargs):
+        if not _BreaksOnFirstSubmit.broke:
+            _BreaksOnFirstSubmit.broke = True
+            raise BrokenProcessPool("a child process terminated abruptly")
+        return super().submit(*args, **kwargs)
+
+
+class TestBrokenPoolAtSubmit:
+    def test_submit_into_a_broken_pool_rebuilds_it(self, monkeypatch):
+        monkeypatch.setattr(_BreaksOnFirstSubmit, "broke", False)
+        monkeypatch.setattr(
+            "repro.parallel.runner.ProcessPoolExecutor", _BreaksOnFirstSubmit
+        )
+        sink = RecordingTelemetry()
+        runner = TrialRunner(_value_trial, workers=2, telemetry=sink)
+        results = runner.run([1.0, 2.0, 3.0], seed=0)
+        assert [r.value for r in results] == [1.0, 2.0, 3.0]
+        # the unit that met the broken pool never ran: no attempt charged
+        assert [r.attempts for r in results] == [1, 1, 1]
+        assert runner.last_stats.pool_rebuilds == 1
+        assert [(e.rebuilds, e.inflight) for e in sink.of_type(PoolRebuilt)] == [
+            (1, 0)
+        ]
+        started = [(e.index, e.attempt) for e in sink.of_type(TrialStarted)]
+        assert sorted(started) == [(0, 1), (1, 1), (2, 1)]
+        assert sink.of_type(TrialRetried) == []
 
 
 class TestGracefulDrain:
