@@ -23,102 +23,91 @@ Quickstart::
     print(analyze(params).summary())          # closed-form Table-I row
     net = HybridNetwork.build(params, n=400, rng=np.random.default_rng(0))
     print(net.sustainable_rate())             # measured flow-level rate
+
+The names in ``__all__`` resolve lazily: ``repro.NetworkParameters`` (or
+``from repro import ...``) imports only the submodule that defines the
+name, on first use.  The analytical layer loads no numpy, and a CLI command
+that does not simulate loads no scipy, networkx or simulation kernels, so
+``python -m repro analyze`` or ``runs list`` start in a fraction of the
+time a full import takes.
 """
 
-from .core.capacity import (
-    Bottleneck,
-    CapacityResult,
-    Scheme,
-    analyze,
-    capacity_lower_bound,
-    capacity_upper_bound,
-    infrastructure_capacity,
-    mobility_capacity,
-    no_infrastructure_capacity,
-    optimal_backbone_exponent,
-    optimal_scheme,
-    optimal_transmission_range,
-    per_node_capacity,
-)
-from .core.bounds import access_upper_bound, combined_upper_bound, cut_upper_bound
-from .core.density import DensityField, density_field, local_density
-from .core.order import Order, order_max, order_min
-from .core.regimes import InvalidParameters, MobilityRegime, NetworkParameters
-from .infrastructure.backbone import Backbone, BackboneTopology
-from .mobility.clustered import ClusteredHomePoints, place_home_points, zipf_weights
-from .mobility.shapes import (
-    ConeShape,
-    MobilityShape,
-    QuadraticDecayShape,
-    TruncatedGaussianShape,
-    UniformDiskShape,
-)
-from .routing.base import FlowResult
-from .routing.scheme_a import SchemeA
-from .routing.scheme_b import SchemeB
-from .routing.scheme_c import SchemeC
-from .routing.scheme_l import SchemeL
-from .routing.static_multihop import StaticMultihop
-from .simulation.network import HybridNetwork
-from .simulation.traffic import PermutationTraffic, permutation_traffic
-from .wireless.physical_model import GreedySINRScheduler, PhysicalModel
-from .wireless.protocol_model import ProtocolModel
-from .wireless.scheduler import GreedyMatchingScheduler, PolicySStar, VariableRangeScheduler
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
+#: Public name -> the submodule (relative to this package) that defines it.
+_EXPORTS = {
     # analytical layer
-    "Order",
-    "order_min",
-    "order_max",
-    "NetworkParameters",
-    "MobilityRegime",
-    "InvalidParameters",
-    "analyze",
-    "CapacityResult",
-    "Scheme",
-    "Bottleneck",
-    "per_node_capacity",
-    "mobility_capacity",
-    "infrastructure_capacity",
-    "no_infrastructure_capacity",
-    "capacity_upper_bound",
-    "capacity_lower_bound",
-    "optimal_transmission_range",
-    "optimal_scheme",
-    "optimal_backbone_exponent",
-    "local_density",
-    "density_field",
-    "DensityField",
-    "cut_upper_bound",
-    "access_upper_bound",
-    "combined_upper_bound",
+    "Order": ".core.order",
+    "order_min": ".core.order",
+    "order_max": ".core.order",
+    "NetworkParameters": ".core.regimes",
+    "MobilityRegime": ".core.regimes",
+    "InvalidParameters": ".core.regimes",
+    "analyze": ".core.capacity",
+    "CapacityResult": ".core.capacity",
+    "Scheme": ".core.capacity",
+    "Bottleneck": ".core.capacity",
+    "per_node_capacity": ".core.capacity",
+    "mobility_capacity": ".core.capacity",
+    "infrastructure_capacity": ".core.capacity",
+    "no_infrastructure_capacity": ".core.capacity",
+    "capacity_upper_bound": ".core.capacity",
+    "capacity_lower_bound": ".core.capacity",
+    "optimal_transmission_range": ".core.capacity",
+    "optimal_scheme": ".core.capacity",
+    "optimal_backbone_exponent": ".core.capacity",
+    "local_density": ".core.density",
+    "density_field": ".core.density",
+    "DensityField": ".core.density",
+    "cut_upper_bound": ".core.bounds",
+    "access_upper_bound": ".core.bounds",
+    "combined_upper_bound": ".core.bounds",
     # substrates
-    "MobilityShape",
-    "UniformDiskShape",
-    "ConeShape",
-    "TruncatedGaussianShape",
-    "QuadraticDecayShape",
-    "ClusteredHomePoints",
-    "place_home_points",
-    "zipf_weights",
-    "ProtocolModel",
-    "PhysicalModel",
-    "GreedySINRScheduler",
-    "PolicySStar",
-    "VariableRangeScheduler",
-    "GreedyMatchingScheduler",
-    "Backbone",
-    "BackboneTopology",
+    "MobilityShape": ".mobility.shapes",
+    "UniformDiskShape": ".mobility.shapes",
+    "ConeShape": ".mobility.shapes",
+    "TruncatedGaussianShape": ".mobility.shapes",
+    "QuadraticDecayShape": ".mobility.shapes",
+    "ClusteredHomePoints": ".mobility.clustered",
+    "place_home_points": ".mobility.clustered",
+    "zipf_weights": ".mobility.clustered",
+    "ProtocolModel": ".wireless.protocol_model",
+    "PhysicalModel": ".wireless.physical_model",
+    "GreedySINRScheduler": ".wireless.physical_model",
+    "PolicySStar": ".wireless.scheduler",
+    "VariableRangeScheduler": ".wireless.scheduler",
+    "GreedyMatchingScheduler": ".wireless.scheduler",
+    "Backbone": ".infrastructure.backbone",
+    "BackboneTopology": ".infrastructure.backbone",
     # schemes & simulation
-    "FlowResult",
-    "SchemeA",
-    "SchemeB",
-    "SchemeC",
-    "SchemeL",
-    "StaticMultihop",
-    "HybridNetwork",
-    "PermutationTraffic",
-    "permutation_traffic",
-]
+    "FlowResult": ".routing.base",
+    "SchemeA": ".routing.scheme_a",
+    "SchemeB": ".routing.scheme_b",
+    "SchemeC": ".routing.scheme_c",
+    "SchemeL": ".routing.scheme_l",
+    "StaticMultihop": ".routing.static_multihop",
+    "HybridNetwork": ".simulation.network",
+    "PermutationTraffic": ".simulation.traffic",
+    "permutation_traffic": ".simulation.traffic",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the submodule that defines public ``name`` on first access."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -67,12 +67,7 @@ import argparse
 import contextlib
 import sys
 
-import numpy as np
-
-from .core.capacity import analyze
-from .core.phase_diagram import compute_phase_diagram
 from .core.regimes import InvalidParameters, NetworkParameters
-from .experiments.table1 import closed_form_table
 from .observability import (
     CompositeTelemetry,
     ProgressRenderer,
@@ -81,7 +76,6 @@ from .observability import (
     open_trace,
     using_telemetry,
 )
-from .simulation.network import HybridNetwork
 
 __all__ = ["main"]
 
@@ -127,6 +121,8 @@ def _family(args) -> NetworkParameters:
 
 
 def _cmd_analyze(args) -> int:
+    from .core.capacity import analyze
+
     params = _family(args)
     result = analyze(params)
     print(params.describe())
@@ -138,11 +134,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .experiments.table1 import closed_form_table
+
     print(closed_form_table())
     return 0
 
 
 def _cmd_phase(args) -> int:
+    from .core.phase_diagram import compute_phase_diagram
+
     diagram = compute_phase_diagram(args.phi, grid_points=args.grid)
     print(f"phi = {args.phi} (M = mobility dominant, I = infrastructure dominant)")
     print(diagram.ascii_render())
@@ -150,6 +150,10 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .simulation.network import HybridNetwork
+
     params = _family(args)
     rng = np.random.default_rng(args.seed)
     net = HybridNetwork.build(params, args.n, rng)
@@ -607,7 +611,7 @@ def _cmd_reproduce(args) -> int:
     from .experiments.figure1 import CLUSTERED_PARAMS, UNIFORM_PARAMS, make_panels
     from .experiments.figure2 import trace_scheme_b_sessions
     from .experiments.figure3 import compute_figure3
-    from .experiments.table1 import TABLE1_ROWS, measure_row
+    from .experiments.table1 import TABLE1_ROWS, closed_form_table, measure_row
     from .utils.tables import render_table
 
     workers = _workers(args)
@@ -680,6 +684,18 @@ def _cmd_reproduce(args) -> int:
     report_path.write_text("\n".join(sections) + "\n")
     print(f"wrote {report_path}")
     return 0
+
+
+def _loaded_error(module: str, name: str):
+    """Exception class ``name`` of ``module`` if it is imported, else ``()``.
+
+    Only a loaded module can raise its exceptions, so an ``except`` clause
+    given this (evaluated when an exception reaches it) catches the class
+    without importing its module -- commands that run no trials never load
+    the runner.  ``except ()`` matches nothing.
+    """
+    loaded = sys.modules.get(module)
+    return () if loaded is None else getattr(loaded, name)
 
 
 def main(argv=None) -> int:
@@ -909,7 +925,6 @@ def main(argv=None) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    from .parallel import TrialFailed
     from .resilience import FaultSpecError, interruptible
 
     try:
@@ -934,7 +949,7 @@ def main(argv=None) -> int:
     except FaultSpecError as error:
         print(f"invalid --inject-faults spec: {error}", file=sys.stderr)
         return 2
-    except TrialFailed as error:
+    except _loaded_error("repro.parallel.runner", "TrialFailed") as error:
         print(
             f"trial failed for good: {error}\n"
             "(raise --retries, or accept partial results with "

@@ -1,17 +1,1 @@
 """Analytical layer: order calculus, regimes, capacity, density, phase diagram."""
-
-from .bounds import access_upper_bound, combined_upper_bound, cut_upper_bound
-from .capacity import analyze, per_node_capacity
-from .order import Order
-from .regimes import MobilityRegime, NetworkParameters
-
-__all__ = [
-    "Order",
-    "NetworkParameters",
-    "MobilityRegime",
-    "analyze",
-    "per_node_capacity",
-    "cut_upper_bound",
-    "access_upper_bound",
-    "combined_upper_bound",
-]

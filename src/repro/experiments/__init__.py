@@ -1,14 +1,1 @@
 """Experiment drivers: capacity sweeps and the per-figure/table harnesses."""
-
-from .scaling import SweepResult, measure_rate, sweep_capacity, theory_order
-from .table1 import TABLE1_ROWS, closed_form_table, measure_row
-
-__all__ = [
-    "SweepResult",
-    "measure_rate",
-    "sweep_capacity",
-    "theory_order",
-    "TABLE1_ROWS",
-    "closed_form_table",
-    "measure_row",
-]

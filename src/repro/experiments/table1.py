@@ -19,7 +19,7 @@ extended network) with the remaining assumptions intact, constructed with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.capacity import (
     optimal_scheme,
@@ -30,7 +30,9 @@ from ..core.regimes import NetworkParameters
 from ..observability.log import get_logger
 from ..resilience import ResilienceConfig
 from ..utils.tables import render_table
-from .scaling import SweepResult, sweep_capacity
+
+if TYPE_CHECKING:
+    from .scaling import SweepResult
 
 __all__ = ["TableRow", "TABLE1_ROWS", "closed_form_table", "measure_row"]
 
@@ -154,6 +156,8 @@ def measure_row(
     ``resilience`` threads retry/fault-injection/partial-result handling
     through to the sweep (see :func:`~.scaling.sweep_capacity`).
     """
+    from .scaling import sweep_capacity
+
     _log.info("table1: measuring row %r (scheme %s)", row.label, row.sweep_scheme)
     return sweep_capacity(
         row.parameters,

@@ -1,25 +1,1 @@
 """Torus geometry, square tessellations, and the cell-grid neighbor index."""
-
-from .neighbors import (
-    CellGridIndex,
-    IncrementalCellGridIndex,
-    adjacency_lists,
-    iter_distance_chunks,
-    masked_nearest,
-    pair_distances,
-)
-from .tessellation import SquareTessellation
-from .torus import pairwise_distances, torus_distance, wrap
-
-__all__ = [
-    "CellGridIndex",
-    "IncrementalCellGridIndex",
-    "SquareTessellation",
-    "adjacency_lists",
-    "iter_distance_chunks",
-    "masked_nearest",
-    "pair_distances",
-    "pairwise_distances",
-    "torus_distance",
-    "wrap",
-]

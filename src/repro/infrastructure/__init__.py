@@ -1,18 +1,1 @@
 """Infrastructure substrate: base-station placement and the wired backbone."""
-
-from .backbone import Backbone, BackboneTopology
-from .placement import (
-    hexagonal_cluster_placement,
-    matched_placement,
-    regular_grid_placement,
-    uniform_placement,
-)
-
-__all__ = [
-    "Backbone",
-    "BackboneTopology",
-    "matched_placement",
-    "uniform_placement",
-    "regular_grid_placement",
-    "hexagonal_cluster_placement",
-]

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["BackboneTopology", "Backbone"]
 
@@ -69,6 +71,8 @@ class Backbone:
         self._load: Dict[Edge, float] = {}
 
     def _build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self._k))
         if self._k == 1:
@@ -151,6 +155,8 @@ class Backbone:
             return [source_bs]
         if self._topology is BackboneTopology.FULL_MESH:
             return [source_bs, target_bs]
+        import networkx as nx
+
         return nx.shortest_path(self._graph, source_bs, target_bs)
 
     def reset_load(self) -> None:

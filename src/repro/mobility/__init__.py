@@ -1,30 +1,1 @@
 """Mobility substrate: radial shapes, home-point processes, clustering."""
-
-from .clustered import ClusteredHomePoints, place_home_points
-from .processes import (
-    BrownianMotion,
-    HybridRandomWalk,
-    IIDAroundHome,
-    MetropolisWalkAroundHome,
-    MobilityProcess,
-    StaticProcess,
-    WaypointAroundHome,
-)
-from .shapes import ConeShape, MobilityShape, QuadraticDecayShape, TruncatedGaussianShape, UniformDiskShape
-
-__all__ = [
-    "MobilityShape",
-    "UniformDiskShape",
-    "ConeShape",
-    "TruncatedGaussianShape",
-    "QuadraticDecayShape",
-    "ClusteredHomePoints",
-    "place_home_points",
-    "MobilityProcess",
-    "IIDAroundHome",
-    "MetropolisWalkAroundHome",
-    "WaypointAroundHome",
-    "StaticProcess",
-    "BrownianMotion",
-    "HybridRandomWalk",
-]

@@ -178,8 +178,12 @@ class TrialStats:
     cache_hits: int = 0
     #: Worker-pool rebuilds forced by crashed workers or hard timeouts.
     pool_rebuilds: int = 0
-    #: Whether a crash storm forced degradation to inline execution.
+    #: Whether execution degraded: a crash storm forced inline execution,
+    #: or a fabric run found no agents and ran locally.
     degraded: bool = False
+    #: :attr:`~repro.parallel.executor.SweepExecutor.name` of the executor
+    #: that ran the units.
+    executor: str = IN_PROCESS.name
 
     @property
     def cache_misses(self) -> int:
@@ -195,9 +199,14 @@ class TrialStats:
 
     def summary(self) -> str:
         """One-line human-readable digest."""
-        mode = "inline" if self.workers is None else f"{self.workers} workers"
+        if self.executor != IN_PROCESS.name:
+            mode, fallback = self.executor, "local"
+        elif self.workers is None:
+            mode, fallback = "inline", "serial"
+        else:
+            mode, fallback = f"{self.workers} workers", "serial"
         if self.degraded:
-            mode += ", degraded to serial"
+            mode += f", degraded to {fallback}"
         cache = (
             f" cache_hits={self.cache_hits}/{self.trials}"
             if self.cache_hits
@@ -665,7 +674,9 @@ class TrialRunner:
                 f"plan does not partition the {count} payload indices"
             )
         if count == 0:
-            self._last_stats = TrialStats(0, 0, 0, 0.0, self._workers)
+            self._last_stats = TrialStats(
+                0, 0, 0, 0.0, self._workers, executor=self._executor.name
+            )
             return []
         order = list(range(count)) if order is None else list(order)
         if sorted(order) != list(range(count)):
@@ -738,6 +749,7 @@ class TrialRunner:
             cache_hits=cache_hits,
             pool_rebuilds=pool_rebuilds,
             degraded=degraded,
+            executor=self._executor.name,
         )
         _log.debug("run complete: %s", self._last_stats.summary())
         return results  # type: ignore[return-value]

@@ -12,9 +12,10 @@ same attempt always backs off by the same amount, at any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import TYPE_CHECKING, FrozenSet, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RETRYABLE_KINDS", "RetryPolicy"]
 
@@ -128,6 +129,8 @@ class RetryPolicy:
             self.backoff_base * self.backoff_multiplier ** (attempts - 1),
         )
         if self.jitter > 0 and seed_seq is not None:
+            import numpy as np
+
             entropy = [int(word) for word in seed_seq.generate_state(2)]
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy + [int(attempts)])

@@ -11,9 +11,8 @@ of aborting an hours-long campaign over a handful of failed trials.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any, List, Optional, Sequence
-
-import numpy as np
 
 from ..observability.log import get_logger
 
@@ -36,7 +35,7 @@ def validate_rate(value: Any) -> Optional[str]:
     """
     if isinstance(value, bool):
         return None
-    if isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, numbers.Real):  # numpy scalars register as Real
         as_float = float(value)
         if math.isnan(as_float):
             return "trial returned NaN"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from typing import Dict
 
-import networkx as nx
 import numpy as np
 
 from ..geometry.neighbors import masked_nearest
@@ -118,6 +117,8 @@ class SchemeC(RoutingScheme):
         other.  Bounded node degree keeps the colour count ``Theta(1)``
         (the "well-known fact about vertex colouring" in Theorem 9's proof).
         """
+        import networkx as nx
+
         k = self._bs.shape[0]
         if k == 1 or self._cell_range == 0.0:
             return np.zeros(k, dtype=int)

@@ -28,8 +28,6 @@ import math
 from typing import Dict
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from ..geometry.neighbors import CellGridIndex
 from ..geometry.torus import pairwise_distances
@@ -109,6 +107,9 @@ class SchemeL(RoutingScheme):
         building it costs ``O(edges)`` memory instead of an
         ``(n + k)^2`` adjacency matrix.
         """
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
         n, k = self._ms.shape[0], self._bs.shape[0]
         positions = np.vstack([self._ms, self._bs])
         total = n + k

@@ -27,7 +27,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from ..geometry.torus import pairwise_distances
 from typing import TYPE_CHECKING
@@ -56,6 +55,8 @@ class StaticMultihop(RoutingScheme):
     def __init__(
         self, positions: np.ndarray, transmission_range: float, delta: float = 1.0
     ):
+        from scipy.sparse.csgraph import connected_components
+
         if transmission_range <= 0:
             raise ValueError(
                 f"transmission range must be positive, got {transmission_range}"

@@ -21,11 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from .serialize import SCHEMA_VERSION, to_jsonable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TrialSeed", "canonical_json", "content_digest", "trial_key"]
 
@@ -44,10 +45,14 @@ class TrialSeed:
 
     def seed_sequence(self) -> np.random.SeedSequence:
         """The named spawn child as a :class:`numpy.random.SeedSequence`."""
+        import numpy as np
+
         return np.random.SeedSequence(self.entropy, spawn_key=(self.spawn_index,))
 
     def rng(self) -> np.random.Generator:
         """A fresh generator on this trial's stream."""
+        import numpy as np
+
         return np.random.default_rng(self.seed_sequence())
 
     def as_jsonable(self) -> list:

@@ -14,8 +14,6 @@ import platform
 import subprocess
 from typing import Any, Dict
 
-import numpy as np
-
 from .serialize import SCHEMA_VERSION
 
 __all__ = ["collect_provenance", "git_revision"]
@@ -53,6 +51,8 @@ def git_revision() -> str:
 
 def collect_provenance() -> Dict[str, Any]:
     """The provenance block written into every run manifest."""
+    import numpy as np
+
     from .. import __version__
 
     return {

@@ -26,8 +26,6 @@ import math
 from fractions import Fraction
 from typing import Any, Dict, Type
 
-import numpy as np
-
 __all__ = [
     "SCHEMA_VERSION",
     "from_jsonable",
@@ -115,16 +113,6 @@ def to_jsonable(obj: Any) -> Any:
         return _encode_float(obj)
     if isinstance(obj, Fraction):
         return {_TAG: "fraction", "value": f"{obj.numerator}/{obj.denominator}"}
-    if isinstance(obj, np.ndarray):
-        return {
-            _TAG: "ndarray",
-            "dtype": str(obj.dtype),
-            "shape": list(obj.shape),
-            # recurse so non-finite floats inside the array get tagged too
-            "data": to_jsonable(obj.ravel().tolist()),
-        }
-    if isinstance(obj, np.generic):
-        return to_jsonable(obj.item())
     if isinstance(obj, tuple):
         return {_TAG: "tuple", "items": [to_jsonable(item) for item in obj]}
     if isinstance(obj, list):
@@ -162,6 +150,20 @@ def to_jsonable(obj: Any) -> Any:
             for field in dataclasses.fields(obj)
         }
         return {_TAG: "dataclass", "type": name, "fields": fields}
+    # numpy values come last: the branches are disjoint, and a
+    # store that only reads manifests and keys never loads numpy
+    import numpy as np
+
+    if isinstance(obj, np.ndarray):
+        return {
+            _TAG: "ndarray",
+            "dtype": str(obj.dtype),
+            "shape": list(obj.shape),
+            # recurse so non-finite floats inside the array get tagged too
+            "data": to_jsonable(obj.ravel().tolist()),
+        }
+    if isinstance(obj, np.generic):
+        return to_jsonable(obj.item())
     raise TypeError(f"cannot serialize {type(obj).__name__} for the store: {obj!r}")
 
 
@@ -179,6 +181,8 @@ def from_jsonable(obj: Any) -> Any:
     if tag == "fraction":
         return Fraction(obj["value"])
     if tag == "ndarray":
+        import numpy as np
+
         data = from_jsonable(obj["data"])
         return np.asarray(data, dtype=np.dtype(obj["dtype"])).reshape(obj["shape"])
     if tag == "tuple":

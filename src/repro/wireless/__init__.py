@@ -1,19 +1,1 @@
 """Wireless substrate: interference model, schedulers, link capacity, connectivity."""
-
-from .connectivity import critical_range, is_connected, minimum_connecting_range
-from .physical_model import GreedySINRScheduler, PhysicalModel
-from .protocol_model import ProtocolModel
-from .scheduler import GreedyMatchingScheduler, PolicySStar, Schedule, VariableRangeScheduler
-
-__all__ = [
-    "ProtocolModel",
-    "PhysicalModel",
-    "GreedySINRScheduler",
-    "PolicySStar",
-    "VariableRangeScheduler",
-    "GreedyMatchingScheduler",
-    "Schedule",
-    "critical_range",
-    "is_connected",
-    "minimum_connecting_range",
-]

@@ -171,6 +171,7 @@ class TestFabricDegradation:
         assert result.digest() == reference
         assert result.stats.degraded
         assert result.stats.failures == 0
+        assert result.stats.summary().endswith("fabric, degraded to local)")
         assert any(
             "no fabric agents" in record.message for record in caplog.records
         )
@@ -228,6 +229,9 @@ class TestFabricCaching:
                 executor=executor, store=str(coordinator_store),
             )
         assert first.digest() == reference
+        # the summary names the executor that ran the units, not "inline"
+        assert first.stats.executor == "fabric"
+        assert first.stats.summary().endswith("trials/s, fabric)")
         # the coordinator journaled every merged member itself
         resumed = sweep_capacity(
             _params(), GRID, scheme="B", trials=TRIALS, seed=SEED,
