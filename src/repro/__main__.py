@@ -12,17 +12,8 @@ Commands
 ``serve``      query the store's run manifests, detect cross-run
                regressions, and generate HTML/JSON reports (see
                ``repro.serve``); ``runs list``/``runs show`` resolve
-               through the same incremental index
-``fabric``     distributed sweep fabric (see ``repro.fabric``): run a
-               worker agent (``fabric serve-agent``) or inspect a live
-               coordinator (``fabric agents`` / ``fabric shards``);
-               ``sweep --fabric`` leases trial shards to the agents and
-               reproduces the serial digest bit-for-bit
-
-``runs`` and ``serve`` accept ``--store`` repeatedly to merge several
-store directories -- e.g. a coordinator store plus each fabric agent's
-journal -- into one list/query/regression view; ``sweep`` treats extra
-``--store`` values as read-only cache replicas (writes go to the first).
+               through the same incremental index; neither creates a
+               store: a missing ``--store`` directory reads as empty
 
 ``sweep`` and ``reproduce`` accept ``--workers N`` to fan Monte-Carlo
 trials out over ``N`` processes (``0`` = all cores); results are
@@ -65,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .core.regimes import InvalidParameters, NetworkParameters
@@ -174,11 +166,9 @@ def _workers(args):
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--store", action="append", default=None, metavar="DIR",
+        "--store", default=None, metavar="DIR",
         help="journal completed trials into this persistent store and "
-        "replay any already journaled there (resumable runs); repeatable "
-        "-- extra stores are read-only replicas merged into the cache "
-        "lookup (e.g. fabric agent journals), writes go to the first",
+        "replay any already journaled there (resumable runs)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -187,26 +177,25 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _store_dirs(args) -> list:
-    """The repeated ``--store`` values as a (possibly empty) list."""
-    stores = getattr(args, "store", None)
-    if stores is None:
-        return []
-    if isinstance(stores, str):
-        return [stores]
-    return list(stores)
-
-
 def _store(args):
-    """CLI --store/--no-cache values -> store (None without --store).
+    """CLI --store/--no-cache values -> RunStore (None without --store)."""
+    from .store import open_store
 
-    One ``--store`` opens a plain :class:`~repro.store.RunStore`; several
-    build a :class:`~repro.store.MergedStore` (first = writable primary,
-    rest = read-only replicas).
+    return open_store(args.store, use_cache=not args.no_cache)
+
+
+def _existing_store(args):
+    """``(directory, RunStore or None)`` of a ``runs``/``serve`` command.
+
+    The directory defaults to ``results``.  These commands never create a
+    store, so a missing directory yields ``None`` and reads as empty.
     """
-    from .store import open_merged_store
+    from .store import RunStore
 
-    return open_merged_store(_store_dirs(args), use_cache=not args.no_cache)
+    store_dir = args.store or "results"
+    if not os.path.exists(store_dir):
+        return store_dir, None
+    return store_dir, RunStore(store_dir)
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
@@ -229,8 +218,7 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault injection for chaos testing, e.g. "
         "'kill@0,raise@2-5,nan@7' (KIND@SELECT[xN]; kinds: raise, hang, "
-        "kill, nan, io, plus agent-kill/agent-hang under sweep --fabric: "
-        "the agent leasing a matching trial dies or hangs mid-lease)",
+        "kill, nan, io)",
     )
 
 
@@ -274,8 +262,7 @@ def _telemetry(args):
     trace_path = None
     trace = getattr(args, "trace", None)
     if trace is not None:
-        stores = _store_dirs(args)
-        directory = trace if trace else (stores[0] if stores else "results")
+        directory = trace or getattr(args, "store", None) or "results"
         trace_sink = open_trace(directory)
         trace_path = trace_sink.path
         sinks.append(trace_sink)
@@ -289,32 +276,11 @@ def _telemetry(args):
     return CompositeTelemetry(sinks), trace_path
 
 
-def _fabric_executor(args):
-    """CLI --fabric flags -> FabricExecutor (None without --fabric)."""
-    if not getattr(args, "fabric", False):
-        return None
-    from .fabric import DEFAULT_PORT, DEFAULT_SHARD_SIZE, FabricExecutor
-
-    return FabricExecutor(
-        port=(
-            args.fabric_port if args.fabric_port is not None else DEFAULT_PORT
-        ),
-        shard_size=(
-            args.shard_size
-            if args.shard_size is not None
-            else DEFAULT_SHARD_SIZE
-        ),
-        wait_seconds=args.fabric_wait,
-        min_agents=args.min_agents,
-    )
-
-
 def _cmd_sweep(args) -> int:
     from .experiments.scaling import sweep_capacity
 
     params = _family(args)
     grid = [int(v) for v in args.grid.split(",")]
-    executor = _fabric_executor(args)
     result = sweep_capacity(
         params,
         grid,
@@ -325,7 +291,6 @@ def _cmd_sweep(args) -> int:
         store=_store(args),
         resilience=_resilience(args),
         batch_trials=args.batch_trials,
-        executor=executor,
     )
     print(params.describe())
     for n, rate in zip(result.n_values, result.rates):
@@ -334,111 +299,31 @@ def _cmd_sweep(args) -> int:
     print(f"theory slope {result.theory_exponent:+.3f}, measured {measured}")
     if result.stats is not None:
         print(result.stats.summary())
-        stores = _store_dirs(args)
-        if stores:
+        if args.store:
             print(
                 f"cache: {result.stats.cache_hits} hit(s), "
                 f"{result.stats.cache_misses} miss(es) "
-                f"(store: {', '.join(stores)})"
+                f"(store: {args.store})"
             )
-    if executor is not None and executor.last_coordinator is not None:
-        coordinator = executor.last_coordinator
-        print(
-            f"fabric: {len(coordinator.table.agents())} agent(s) seen, "
-            f"{coordinator.leaked()} leaked lease(s)"
-        )
     print(f"digest: {result.digest()}")
     return 0
 
 
-def _cmd_fabric(args) -> int:
-    """Fabric worker and observer commands (see ``repro.fabric``)."""
-    from .fabric import DEFAULT_PORT, FabricAgent, WireError, request_status
-    from .utils.tables import render_table
-
-    if args.action == "serve-agent":
-        agent = FabricAgent(
-            host=args.host,
-            port=args.port,
-            capacity=args.capacity,
-            store=args.agent_store,
-            agent_id=args.agent_id,
-            connect_timeout=args.connect_timeout,
-            idle_timeout=args.idle_timeout,
-        )
-        print(
-            f"agent {agent.agent_id} serving {args.host}:{args.port} "
-            f"(capacity {args.capacity})",
-            file=sys.stderr,
-        )
-        return agent.serve()
-
-    try:
-        status = request_status(args.host, args.port)
-    except WireError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    if args.action == "agents":
-        agents = status.get("agents") or []
-        if not agents:
-            print("no agents registered")
-            return 0
-        print(render_table(
-            ["agent", "state", "capacity", "leases", "strikes",
-             "completed", "heartbeat age"],
-            [
-                [
-                    entry["agent"],
-                    entry["state"],
-                    str(entry["capacity"]),
-                    str(entry["leases"]),
-                    str(entry["strikes"]),
-                    str(entry["completed"]),
-                    f"{entry['heartbeat_age']:.1f}s",
-                ]
-                for entry in agents
-            ],
-        ))
-        return 0
-    if args.action == "shards":
-        shards = status.get("shards") or []
-        if not shards:
-            print("no shards submitted")
-            return 0
-        print(render_table(
-            ["shard", "status", "trials", "leased to", "failed on"],
-            [
-                [
-                    entry["shard"],
-                    entry["status"],
-                    str(entry["trials"]),
-                    entry["agent"] or "-",
-                    ",".join(entry["failures"]) or "-",
-                ]
-                for entry in shards
-            ],
-        ))
-        return 0
-    print(f"unknown fabric action {args.action!r}", file=sys.stderr)
-    return 2
-
-
 def _cmd_runs(args) -> int:
     """Inspect a persistent experiment store (list / show / gc)."""
-    from .store import open_merged_store
     from .utils.tables import render_table
 
-    store_dirs = _store_dirs(args) or ["results"]
-    store = open_merged_store(store_dirs)
-    store_label = ", ".join(store_dirs)
+    store_dir, store = _existing_store(args)
     if args.action == "list":
         # rewired through the serve index: one stat per manifest instead of
         # one JSON parse, and newest-first by the created_ts epoch float.
-        index = store.serve_index()
-        index.refresh()
-        records = index.records()
+        records = []
+        if store is not None:
+            index = store.serve_index()
+            index.refresh()
+            records = index.records()
         if not records:
-            print(f"no runs recorded in {store_label}")
+            print(f"no runs recorded in {store_dir}")
             return 0
         rows = []
         for record in records:
@@ -470,6 +355,8 @@ def _cmd_runs(args) -> int:
         import json
 
         try:
+            if store is None:
+                raise KeyError(f"no stored run matches {args.run_id!r}")
             manifest = store.load_run(args.run_id)
         except KeyError as error:
             print(str(error), file=sys.stderr)
@@ -477,17 +364,14 @@ def _cmd_runs(args) -> int:
         print(json.dumps(manifest, indent=2))
         return 0
     if args.action == "gc":
-        # gc is a mutator: run it per member store, never across them --
-        # a manifest in one store must not pin journal entries in another
-        from .store import MergedStore
+        from .store import GCStats
 
-        members = store.stores if isinstance(store, MergedStore) else [store]
-        for member in members:
-            stats = member.gc(keep=args.keep, drop_orphans=args.drop_orphans)
-            prefix = f"{member.root}: " if len(members) > 1 else ""
-            print(f"{prefix}{stats.summary()}")
-            if member.corrupt_path.exists():
-                print(f"{prefix}quarantine sidecar: {member.corrupt_path}")
+        if store is None:
+            print(GCStats(0, 0, 0).summary())
+            return 0
+        print(store.gc(keep=args.keep, drop_orphans=args.drop_orphans).summary())
+        if store.corrupt_path.exists():
+            print(f"quarantine sidecar: {store.corrupt_path}")
         return 0
     print(f"unknown runs action {args.action!r}", file=sys.stderr)
     return 2
@@ -529,13 +413,12 @@ def _cmd_serve(args) -> int:
     import json as json_module
 
     from .serve import build_report, detect_regressions, run_query, write_report
-    from .store import open_merged_store
+    from .serve.index import RunIndex
     from .utils.tables import render_table
 
-    store_dirs = _store_dirs(args) or ["results"]
-    store = open_merged_store(store_dirs)
-    store_label = ", ".join(store_dirs)
-    index = store.serve_index()
+    store_dir, store = _existing_store(args)
+    # a missing store's index reads as empty and writes nothing
+    index = RunIndex(store_dir) if store is None else store.serve_index()
     spec = _serve_spec(args)
 
     if args.action == "query":
@@ -546,7 +429,7 @@ def _cmd_serve(args) -> int:
             ))
             return 0
         if not records:
-            print(f"no runs in {store_label} match the query")
+            print(f"no runs in {store_dir} match the query")
             return 0
         rows = []
         for record in records:
@@ -585,10 +468,17 @@ def _cmd_serve(args) -> int:
     if args.action == "report":
         report = build_report(
             index, spec, slowdown_threshold=args.slowdown,
-            title=f"repro results: {store_label}",
+            title=f"repro results: {store_dir}",
         )
         out = args.out
         if out is None:
+            if store is None:
+                print(
+                    f"no store at {store_dir}: pass --out to write the "
+                    "report elsewhere",
+                    file=sys.stderr,
+                )
+                return 2
             suffix = "html" if args.format != "json" else "json"
             out = str(store.root / "serve" / f"report.{suffix}")
         path = write_report(report, out, fmt=args.format)
@@ -755,71 +645,10 @@ def main(argv=None) -> int:
         "one composite execution and retry unit (bit-identical to "
         "per-trial execution)",
     )
-    cmd.add_argument(
-        "--fabric", action="store_true",
-        help="lease trial shards to fabric worker agents (start them with "
-        "'repro fabric serve-agent'); degrades to local execution when no "
-        "agents register, and results stay bit-identical either way",
-    )
-    cmd.add_argument(
-        "--fabric-port", type=int, default=None, metavar="PORT",
-        help="coordinator listen port (default 7345; 0 = ephemeral)",
-    )
-    cmd.add_argument(
-        "--fabric-wait", type=float, default=10.0, metavar="SECONDS",
-        help="how long to wait for the first agent before degrading to "
-        "local execution (default 10)",
-    )
-    cmd.add_argument(
-        "--min-agents", type=int, default=1, metavar="N",
-        help="keep waiting (up to --fabric-wait) until N agents have "
-        "registered before leasing starts (default 1)",
-    )
-    cmd.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="trials per leased shard (default 4; the lease granularity)",
-    )
     _add_store_arguments(cmd)
     _add_telemetry_arguments(cmd)
     _add_resilience_arguments(cmd)
     cmd.set_defaults(func=_cmd_sweep)
-
-    cmd = commands.add_parser(
-        "fabric",
-        help="distributed sweep fabric: run a worker agent, inspect a "
-        "coordinator's agents and shards",
-    )
-    cmd.add_argument("action", choices=["serve-agent", "agents", "shards"])
-    cmd.add_argument("--host", default="127.0.0.1",
-                     help="coordinator address (default 127.0.0.1)")
-    cmd.add_argument("--port", type=int, default=7345,
-                     help="coordinator port (default 7345)")
-    cmd.add_argument(
-        "--capacity", type=int, default=1, metavar="N",
-        help="serve-agent: concurrent shard leases this agent accepts "
-        "(the coordinator's capacity-scheduling weight; default 1)",
-    )
-    cmd.add_argument(
-        "--agent-store", default=None, metavar="DIR",
-        help="serve-agent: agent-local RunStore journal directory "
-        "(re-leased shards replay from it; merge it into queries with "
-        "repeated --store flags)",
-    )
-    cmd.add_argument(
-        "--agent-id", default=None, metavar="NAME",
-        help="serve-agent: stable agent name (default host-pid-random)",
-    )
-    cmd.add_argument(
-        "--connect-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="serve-agent: keep retrying the initial connection this long "
-        "(an agent may start before the coordinator; default 30)",
-    )
-    cmd.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="serve-agent: exit after this long without a lease "
-        "(default: serve until the coordinator sends shutdown)",
-    )
-    cmd.set_defaults(func=_cmd_fabric)
 
     cmd = commands.add_parser(
         "reproduce", help="regenerate the paper's artifacts into --out"
@@ -849,9 +678,8 @@ def main(argv=None) -> int:
     cmd.add_argument("action", choices=["list", "show", "gc"])
     cmd.add_argument("run_id", nargs="?", default=None,
                      help="manifest id (or unambiguous prefix) for 'show'")
-    cmd.add_argument("--store", action="append", default=None, metavar="DIR",
-                     help="store directory (default: results); repeatable "
-                     "to merge several stores into one view")
+    cmd.add_argument("--store", default=None, metavar="DIR",
+                     help="store directory (default: results)")
     cmd.add_argument("--keep", type=int, default=None, metavar="N",
                      help="gc: keep only the newest N run manifests")
     cmd.add_argument(
@@ -871,11 +699,8 @@ def main(argv=None) -> int:
         "serve", help="query stored runs, detect regressions, build reports"
     )
     cmd.add_argument("action", choices=["query", "regress", "report"])
-    cmd.add_argument("--store", action="append", default=None, metavar="DIR",
-                     help="store directory (default: results); repeatable "
-                     "to query/regress/report across several stores at "
-                     "once (e.g. a coordinator store plus fabric agent "
-                     "journals)")
+    cmd.add_argument("--store", default=None, metavar="DIR",
+                     help="store directory (default: results)")
     cmd.add_argument("--command", dest="command_filter", default=None,
                      metavar="NAME",
                      help="filter: experiment command (sweep, figure1, ...)")

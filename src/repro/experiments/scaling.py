@@ -187,7 +187,7 @@ def _sweep_trial(rng: np.random.Generator, payload: tuple) -> float:
     return float(result.per_node_rate)
 
 
-def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
+def _batched_sweep_trial(seeds, payloads) -> List[float]:
     """Execute one same-``n`` batch of sweep trials, member by member
     (module-level so it pickles into pool workers).
 
@@ -196,8 +196,8 @@ def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
     exactly the serial ones.
     """
     return [
-        _sweep_trial(np.random.default_rng(seed_seq), payload)
-        for seed_seq, payload in zip(seed_seqs, payloads)
+        _sweep_trial(np.random.default_rng(member_seed), payload)
+        for member_seed, payload in zip(seeds, payloads)
     ]
 
 
@@ -256,7 +256,6 @@ def sweep_capacity(
     store=None,
     resilience: Optional[ResilienceConfig] = None,
     batch_trials: Optional[int] = None,
-    executor=None,
 ) -> SweepResult:
     """Measure ``lambda(n)`` over a grid of ``n`` and fit the exponent.
 
@@ -304,13 +303,6 @@ def sweep_capacity(
     unit whose members run the same per-scheme kernel as per-trial
     execution.  The rates -- and the sweep digest -- are bit-identical
     to the per-trial path at any worker count.
-
-    ``executor`` (a :class:`repro.parallel.SweepExecutor`, e.g.
-    :class:`repro.fabric.FabricExecutor`) replaces the in-process trial
-    fan-out with an alternative execution substrate.  Executors preserve
-    the determinism contract -- per-trial seeds derive from the master
-    ``seed`` by global index -- so the sweep digest is identical no
-    matter where the trials ran.
     """
     if scheme not in SCHEME_SELECTORS:
         raise ValueError(
@@ -345,13 +337,11 @@ def sweep_capacity(
         "generic": generic,
         "workers": workers,
         "batch_trials": batch_trials,
-        "executor": getattr(executor, "name", None),
     }
     runner = TrialRunner(
         _sweep_trial,
         workers=workers,
         validator=validate_rate,
-        executor=executor,
         **resilience.runner_kwargs(),
     )
     try:

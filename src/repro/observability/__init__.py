@@ -14,17 +14,13 @@ measurement substrate those runs report through:
 - :mod:`repro.observability.events` -- typed telemetry events
   (``trial_started`` / ``trial_finished`` / ``trial_cached`` /
   ``trial_failed``, the resilience lifecycle ``trial_retried`` /
-  ``fault_injected`` / ``pool_rebuilt`` / ``degraded_to_serial``, the
-  fabric lifecycle
-  ``agent_registered`` / ``agent_delisted`` / ``lease_granted`` /
-  ``lease_expired`` / ``shard_requeued`` / ``shard_quarantined`` /
-  ``fabric_degraded``,
+  ``fault_injected`` / ``pool_rebuilt`` / ``degraded_to_serial``,
   ``sweep_progress``, ``slot_batch``, ``journal_appended``, the serve
   layer's ``index_refreshed`` / ``query_executed`` / ``regression_scan``,
-  ``span``) plus the :class:`Telemetry` sink protocol.  The process-wide current sink defaults to
-  :class:`NullTelemetry` (zero overhead: instrumented hot paths check
-  ``sink.enabled`` before building events) and is swapped with
-  :func:`set_telemetry` / :func:`using_telemetry`.
+  ``span``) plus the :class:`Telemetry` sink protocol.  The process-wide
+  current sink defaults to :class:`NullTelemetry` (zero overhead:
+  instrumented hot paths check ``sink.enabled`` before building events)
+  and is swapped with :func:`set_telemetry` / :func:`using_telemetry`.
 - :mod:`repro.observability.progress` -- a human progress renderer
   (trials/s, ETA, cache-hit rate, failure count) consuming the trial
   events on stderr.
@@ -39,17 +35,10 @@ emits as futures complete, so pool workers never touch the sink.
 """
 
 from .events import (
-    AgentDelisted,
-    AgentRegistered,
     CompositeTelemetry,
     DegradedToSerial,
-    FabricDegraded,
     FaultInjected,
     IndexRefreshed,
-    LeaseExpired,
-    LeaseGranted,
-    ShardQuarantined,
-    ShardRequeued,
     JournalAppended,
     NullTelemetry,
     PoolRebuilt,
@@ -76,26 +65,19 @@ from .timing import span
 from .trace import JsonlTraceSink, open_trace
 
 __all__ = [
-    "AgentDelisted",
-    "AgentRegistered",
     "CompositeTelemetry",
     "DegradedToSerial",
-    "FabricDegraded",
     "FaultInjected",
     "IndexRefreshed",
     "JournalAppended",
     "JsonLogFormatter",
     "JsonlTraceSink",
-    "LeaseExpired",
-    "LeaseGranted",
     "NullTelemetry",
     "PoolRebuilt",
     "ProgressRenderer",
     "QueryExecuted",
     "RecordingTelemetry",
     "RegressionScan",
-    "ShardQuarantined",
-    "ShardRequeued",
     "SlotBatch",
     "SpanFinished",
     "SweepProgress",

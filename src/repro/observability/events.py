@@ -33,13 +33,6 @@ __all__ = [
     "FaultInjected",
     "PoolRebuilt",
     "DegradedToSerial",
-    "AgentRegistered",
-    "AgentDelisted",
-    "LeaseGranted",
-    "LeaseExpired",
-    "ShardRequeued",
-    "ShardQuarantined",
-    "FabricDegraded",
     "SweepProgress",
     "SlotBatch",
     "JournalAppended",
@@ -174,99 +167,6 @@ class DegradedToSerial(TelemetryEvent):
     EVENT: ClassVar[str] = "degraded_to_serial"
     rebuilds: int
     quarantined: tuple
-
-
-@dataclass(frozen=True)
-class AgentRegistered(TelemetryEvent):
-    """A fabric worker agent registered with the coordinator.
-
-    ``capacity`` is the agent's lease-slot weight: how many shards it may
-    hold concurrently (the capacity-based scheduler favours the agent with
-    the most free slots).
-    """
-
-    EVENT: ClassVar[str] = "agent_registered"
-    agent: str
-    capacity: int
-
-
-@dataclass(frozen=True)
-class AgentDelisted(TelemetryEvent):
-    """The coordinator dropped an agent from the schedulable set.
-
-    ``reason`` is ``"dead"`` (missed heartbeats / connection lost),
-    ``"drained"`` (struck out: repeatedly dying mid-lease) or
-    ``"shutdown"`` (orderly exit).  ``strikes`` counts lease failures
-    attributed to the agent at delisting time.
-    """
-
-    EVENT: ClassVar[str] = "agent_delisted"
-    agent: str
-    reason: str
-    strikes: int
-
-
-@dataclass(frozen=True)
-class LeaseGranted(TelemetryEvent):
-    """One trial shard was leased to an agent until ``ttl_seconds`` pass
-    without a heartbeat/progress renewal."""
-
-    EVENT: ClassVar[str] = "lease_granted"
-    shard: str
-    agent: str
-    trials: int
-    ttl_seconds: float
-
-
-@dataclass(frozen=True)
-class LeaseExpired(TelemetryEvent):
-    """A lease's TTL lapsed without renewal (agent dead, hung or gone);
-    the shard returns to the queue."""
-
-    EVENT: ClassVar[str] = "lease_expired"
-    shard: str
-    agent: str
-    held_seconds: float
-
-
-@dataclass(frozen=True)
-class ShardRequeued(TelemetryEvent):
-    """A shard went back to the scheduling queue after a failed lease.
-
-    ``failures`` counts distinct agents the shard has now failed on
-    (two strikes quarantines it).
-    """
-
-    EVENT: ClassVar[str] = "shard_requeued"
-    shard: str
-    agent: str
-    failures: int
-
-
-@dataclass(frozen=True)
-class ShardQuarantined(TelemetryEvent):
-    """A shard failed on two distinct agents and was pulled from
-    scheduling; its trials surface as ``kind="quarantined"`` errors and
-    the sweep finishes ``status="partial"``."""
-
-    EVENT: ClassVar[str] = "shard_quarantined"
-    shard: str
-    agents: tuple
-    trials: int
-
-
-@dataclass(frozen=True)
-class FabricDegraded(TelemetryEvent):
-    """The fabric coordinator fell back to local in-process execution.
-
-    ``reason`` is ``"no_agents"`` (none registered within the wait
-    window) or ``"agents_lost"`` (every registered agent died mid-sweep);
-    ``trials`` is how many unfinished trials run locally.
-    """
-
-    EVENT: ClassVar[str] = "fabric_degraded"
-    reason: str
-    trials: int
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,6 @@ from ..observability.log import get_logger
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import RetryPolicy
 from ..resilience.supervisor import PoolSupervisor
-from .executor import IN_PROCESS, SweepExecutor
 
 __all__ = [
     "TrialError",
@@ -178,12 +177,8 @@ class TrialStats:
     cache_hits: int = 0
     #: Worker-pool rebuilds forced by crashed workers or hard timeouts.
     pool_rebuilds: int = 0
-    #: Whether execution degraded: a crash storm forced inline execution,
-    #: or a fabric run found no agents and ran locally.
+    #: Whether a crash storm forced inline execution.
     degraded: bool = False
-    #: :attr:`~repro.parallel.executor.SweepExecutor.name` of the executor
-    #: that ran the units.
-    executor: str = IN_PROCESS.name
 
     @property
     def cache_misses(self) -> int:
@@ -199,14 +194,9 @@ class TrialStats:
 
     def summary(self) -> str:
         """One-line human-readable digest."""
-        if self.executor != IN_PROCESS.name:
-            mode, fallback = self.executor, "local"
-        elif self.workers is None:
-            mode, fallback = "inline", "serial"
-        else:
-            mode, fallback = f"{self.workers} workers", "serial"
+        mode = "inline" if self.workers is None else f"{self.workers} workers"
         if self.degraded:
-            mode += f", degraded to {fallback}"
+            mode += ", degraded to serial"
         cache = (
             f" cache_hits={self.cache_hits}/{self.trials}"
             if self.cache_hits
@@ -400,29 +390,26 @@ class _Emitter:
 
 @dataclass
 class _Job:
-    """One guarded run, shared by the runner and the executor serving it.
+    """The state of one guarded run.
 
     The runner builds it -- cache hits served into ``results``, seeds
-    spawned, the rest grouped into ``units`` -- and an executor executes
-    the units through the runner's shared helpers, which fill ``results``.
-    A unit is a tuple of trial indices: one trial, or, when ``batched``,
-    one batch run as a single composite trial whose value list is
-    scattered back per member.  Its first member is its identity: the
-    key of its attempt count, fault lookup and backoff jitter.
+    spawned -- and executes the remaining *units* inline or over its pool
+    through shared helpers that fill ``results``.  A unit is a tuple of
+    trial indices: one trial, or, when ``batched``, one batch run as a
+    single composite trial whose value list is scattered back per member.
+    Its first member is its identity: the key of its attempt count, fault
+    lookup and backoff jitter.
     """
 
-    #: ``trial_fn(rng, payload)``, or ``batch_fn(seed_seqs, payloads)``.
+    #: ``trial_fn(rng, payload)``, or ``batch_fn(seeds, payloads)``.
     fn: Callable[..., Any]
     batched: bool
     payloads: List[Any]
-    #: The master seed (``None`` when the caller supplied ``seed_seqs``).
-    seed: Optional[int]
     seeds: Sequence[Any]
     cache: Optional[Any]
     keys: Optional[Sequence[Optional[str]]]
     results: List[Optional[TrialResult]]
     emitter: _Emitter
-    units: List[Tuple[int, ...]]
 
 
 class TrialRunner:
@@ -470,13 +457,6 @@ class TrialRunner:
         Crash-storm threshold: after ``max_rebuilds`` pool rebuilds within
         the window, crash-implicated payloads are quarantined and the run
         degrades to inline serial execution.
-    executor:
-        The :class:`~repro.parallel.executor.SweepExecutor` substrate that
-        executes the units of :meth:`run` / :meth:`run_batched`.  ``None``
-        (the default) uses the in-process executor -- inline or this
-        runner's own worker pool.  A :class:`repro.fabric.FabricExecutor`
-        instead leases trial shards to worker agents and rebalances on
-        agent failure.
     """
 
     #: Extra parent-side slack (seconds) on top of ``timeout`` before the
@@ -502,7 +482,6 @@ class TrialRunner:
         validator: Optional[Callable[[Any], Optional[str]]] = None,
         max_rebuilds: int = 3,
         rebuild_window_seconds: float = 60.0,
-        executor: Optional[SweepExecutor] = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1 or None, got {workers}")
@@ -531,7 +510,6 @@ class TrialRunner:
         self._validator = validator
         self._max_rebuilds = max_rebuilds
         self._rebuild_window = rebuild_window_seconds
-        self._executor = executor if executor is not None else IN_PROCESS
         self._last_stats: Optional[TrialStats] = None
 
     @property
@@ -548,11 +526,6 @@ class TrialRunner:
     def last_stats(self) -> Optional[TrialStats]:
         """Throughput counters of the most recent :meth:`run` call."""
         return self._last_stats
-
-    @property
-    def executor(self) -> SweepExecutor:
-        """The execution substrate :meth:`run` delegates to."""
-        return self._executor
 
     @staticmethod
     def resolve_workers(workers: Optional[int]) -> Optional[int]:
@@ -572,7 +545,6 @@ class TrialRunner:
         cache: Optional[Any] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
         shared: Optional[Any] = None,
-        seed_seqs: Optional[Sequence[Any]] = None,
     ) -> List[TrialResult]:
         """Run one trial per payload; results are ordered by trial index.
 
@@ -596,17 +568,10 @@ class TrialRunner:
         ``KeyboardInterrupt`` and on SIGTERM (which the resilience layer's
         :func:`~repro.resilience.drain.interruptible` converts into a
         ``KeyboardInterrupt`` subclass that propagates through here).
-
-        ``seed_seqs`` overrides the per-trial ``SeedSequence`` list (one
-        entry per payload) instead of spawning from ``seed``.  Fabric
-        agents use it to execute a shard *slice* of a sweep with the exact
-        full-count-spawned seeds the coordinator derived, preserving the
-        worker-count-independent streams.
         """
         try:
             return self._run(
-                payloads, seed, cache, keys, seed_seqs=seed_seqs,
-                order=submission_order,
+                payloads, seed, cache, keys, order=submission_order
             )
         finally:
             if shared is not None:
@@ -625,7 +590,7 @@ class TrialRunner:
         """Run trials grouped into same-shape batches; per-trial results.
 
         ``plan`` (a :class:`~repro.parallel.batch.BatchedTrialPlan`) maps
-        trial indices into batches; ``batch_fn(seed_seqs, payloads) ->
+        trial indices into batches; ``batch_fn(seeds, payloads) ->
         values`` (module-level, picklable) executes one whole batch and
         returns one value per member, in member order.
 
@@ -654,29 +619,21 @@ class TrialRunner:
                 shared.unlink_all()
 
     def _run(
-        self, payloads, seed, cache, keys, seed_seqs=None, order=None,
-        batch_fn=None, plan=None,
+        self, payloads, seed, cache, keys, order=None, batch_fn=None, plan=None,
     ) -> List[TrialResult]:
-        """The one guarded path: cache prologue, executor, stats epilogue."""
+        """The one guarded path: cache prologue, execution, stats epilogue."""
         payloads = list(payloads)
         count = len(payloads)
         if keys is not None and len(keys) != count:
             raise ValueError(
                 f"need one key per payload: {len(keys)} keys, {count} payloads"
             )
-        if seed_seqs is not None and len(seed_seqs) != count:
-            raise ValueError(
-                f"need one seed sequence per payload: "
-                f"{len(seed_seqs)} seeds, {count} payloads"
-            )
         if plan is not None and not plan.covers(count):
             raise ValueError(
                 f"plan does not partition the {count} payload indices"
             )
         if count == 0:
-            self._last_stats = TrialStats(
-                0, 0, 0, 0.0, self._workers, executor=self._executor.name
-            )
+            self._last_stats = TrialStats(0, 0, 0, 0.0, self._workers)
             return []
         order = list(range(count)) if order is None else list(order)
         if sorted(order) != list(range(count)):
@@ -726,19 +683,16 @@ class TrialRunner:
                 fn=self._trial_fn if plan is None else batch_fn,
                 batched=plan is not None,
                 payloads=payloads,
-                seed=None if seed_seqs is not None else seed,
-                seeds=(
-                    list(seed_seqs)
-                    if seed_seqs is not None
-                    else np.random.SeedSequence(seed).spawn(count)
-                ),
+                seeds=np.random.SeedSequence(seed).spawn(count),
                 cache=cache,
                 keys=keys,
                 results=results,
                 emitter=emitter,
-                units=units,
             )
-            pool_rebuilds, degraded = self._executor.execute(self, job)
+            if self._workers is None:
+                self._run_inline(job, units)
+            else:
+                pool_rebuilds, degraded = self._run_pool(job, units)
         elapsed = time.perf_counter() - start
         self._last_stats = TrialStats(
             trials=count,
@@ -749,7 +703,6 @@ class TrialRunner:
             cache_hits=cache_hits,
             pool_rebuilds=pool_rebuilds,
             degraded=degraded,
-            executor=self._executor.name,
         )
         _log.debug("run complete: %s", self._last_stats.summary())
         return results  # type: ignore[return-value]
@@ -772,7 +725,7 @@ class TrialRunner:
         return [result.value for result in results]
 
     # ------------------------------------------------------------------
-    # shared helpers: every executor settles units and members through these
+    # shared helpers: inline and pool execution settle units through these
     def _fault_for(
         self, index: int, attempt: int, inline: bool
     ) -> Optional[str]:
@@ -786,11 +739,6 @@ class TrialRunner:
         fault = self._fault_plan.fault_for(index, attempt)
         if fault == "io":
             # journal faults fire at cache.put time, not in the trial body
-            return None
-        if fault is not None and fault.startswith("agent-"):
-            # agent-level faults are armed by the fabric coordinator (they
-            # target whichever agent holds the lease, not a trial body);
-            # outside the fabric they are inert by design.
             return None
         if fault == "kill" and inline:
             _log.debug(
@@ -992,15 +940,7 @@ class TrialRunner:
         return result
 
     # ------------------------------------------------------------------
-    # local execution: inline, or over this runner's worker pool
-    def _execute_local(self, job: _Job, units) -> Tuple[int, bool]:
-        """Execute ``units`` in this process or its pool; returns
-        ``(pool rebuilds, degraded to serial)``."""
-        if self._workers is None:
-            self._run_inline(job, units)
-            return 0, False
-        return self._run_pool(job, units)
-
+    # execution: inline, or over this runner's worker pool
     def _run_inline(
         self, job: _Job, units, attempts: Optional[List[int]] = None
     ) -> None:

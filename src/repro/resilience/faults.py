@@ -12,7 +12,6 @@ Spec grammar (the CLI ``--inject-faults`` argument)::
     SPEC    := CLAUSE ("," CLAUSE)*
     CLAUSE  := KIND "@" SELECT ["x" COUNT]
     KIND    := "raise" | "hang" | "kill" | "nan" | "io"
-             | "agent-kill" | "agent-hang"
     SELECT  := "*" | INDEX | START "-" STOP [":" STEP]    (STOP inclusive)
     COUNT   := positive int -- the fault fires on attempts 1..COUNT
                (default 1, so a single retry heals it)
@@ -37,16 +36,6 @@ Fault kinds:
   result-validation boundary turns into ``kind="invalid_result"``.
 - ``io``: the parent-side journal append (``cache.put``) raises an
   ``OSError``; the trial's value survives in memory, durability degrades.
-- ``agent-kill`` / ``agent-hang``: fabric-level faults.  When the fabric
-  coordinator grants a lease on a shard containing a selected trial, the
-  holding **agent process** SIGKILLs itself (``agent-kill``) or stops
-  heartbeating and stalls (``agent-hang``) mid-shard; the coordinator must
-  recover via lease expiry and rebalancing.  For these kinds ``attempt``
-  counts *distinct leases* of a matching shard, so ``agent-kill@5`` takes
-  down only the first agent leased trial 5's shard (the re-lease runs
-  clean), while ``agent-kill@5x2`` poisons it on two agents -- the shard
-  quarantine threshold.  Outside the fabric these kinds are inert: the
-  in-process runner ignores them (there is no agent to kill).
 
 The first matching clause wins when several select the same trial.
 """
@@ -58,7 +47,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [
-    "AGENT_FAULT_KINDS",
     "FAULT_KINDS",
     "FaultClause",
     "FaultPlan",
@@ -66,11 +54,7 @@ __all__ = [
 ]
 
 #: Recognised fault kinds, in documentation order.
-FAULT_KINDS = ("raise", "hang", "kill", "nan", "io", "agent-kill", "agent-hang")
-
-#: The fabric-level subset: they target the agent holding a lease, not a
-#: trial body, and are inert outside ``sweep --fabric``.
-AGENT_FAULT_KINDS = ("agent-kill", "agent-hang")
+FAULT_KINDS = ("raise", "hang", "kill", "nan", "io")
 
 
 class FaultSpecError(ValueError):
@@ -190,21 +174,6 @@ class FaultPlan:
     def has_hang(self) -> bool:
         """Whether any clause injects a hang (which needs a timeout)."""
         return any(clause.kind == "hang" for clause in self.clauses)
-
-    @property
-    def has_agent_faults(self) -> bool:
-        """Whether any clause targets fabric agents (``agent-*``)."""
-        return any(
-            clause.kind in AGENT_FAULT_KINDS for clause in self.clauses
-        )
-
-    def agent_clauses(self) -> Tuple[FaultClause, ...]:
-        """The fabric-level clauses, in plan order (coordinator-armed)."""
-        return tuple(
-            clause
-            for clause in self.clauses
-            if clause.kind in AGENT_FAULT_KINDS
-        )
 
     def describe(self) -> str:
         """The plan as spec text (parse/describe round-trips)."""

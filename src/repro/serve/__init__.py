@@ -26,7 +26,6 @@ routes ``repro runs list|show`` through the same index.
 """
 
 from .index import (
-    MergedRunIndex,
     RefreshStats,
     RunIndex,
     RunRecord,
@@ -44,7 +43,6 @@ from .report import build_report, render_html, render_json, write_report
 
 __all__ = [
     "DEFAULT_SLOWDOWN_THRESHOLD",
-    "MergedRunIndex",
     "QuerySpec",
     "RefreshStats",
     "Regression",

@@ -25,7 +25,6 @@ Layers:
 """
 
 from .keys import TrialSeed, canonical_json, content_digest, trial_key
-from .merged import MergedStore, open_merged_store
 from .provenance import collect_provenance
 from .runstore import (
     CachedTrial,
@@ -47,7 +46,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CachedTrial",
     "GCStats",
-    "MergedStore",
     "RunStore",
     "TrialSeed",
     "UnserializableValue",
@@ -56,7 +54,6 @@ __all__ = [
     "content_digest",
     "from_jsonable",
     "manifest_sort_key",
-    "open_merged_store",
     "open_store",
     "register_payload",
     "schema_fingerprint",

@@ -97,7 +97,7 @@ class _InterruptingStore(RunStore):
 class TestRecordedManifest:
     SWEEP_CONFIG_KEYS = {
         "scheme", "n_values", "trials", "seed", "build_kwargs", "generic",
-        "workers", "batch_trials", "executor",
+        "workers", "batch_trials",
     }
 
     def test_config_records_the_sweep_without_a_backend(self, tmp_path):

@@ -126,6 +126,21 @@ class TestRuns:
         assert main(["runs", "list", "--store", str(tmp_path / "empty")]) == 0
         assert "no runs recorded" in capsys.readouterr().out
 
+    def test_read_commands_never_create_a_missing_store(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        for argv, expected in [
+            (["runs", "list"], f"no runs recorded in {missing}\n"),
+            (["serve", "query"], f"no runs in {missing} match the query\n"),
+            (["serve", "query", "--json"], "[]\n"),
+            (["runs", "gc"], "removed 0 run manifest(s); journal: "
+                             "0 entries kept, 0 dropped\n"),
+        ]:
+            assert main(argv + ["--store", missing]) == 0
+            assert capsys.readouterr().out == expected
+        assert main(["runs", "show", "abc", "--store", missing]) == 2
+        assert main(["serve", "report", "--store", missing]) == 2
+        assert not (tmp_path / "missing").exists()
+
     def test_show_dumps_manifest(self, tmp_path, capsys):
         import json
 
@@ -373,57 +388,3 @@ class TestObservability:
     def test_unknown_log_level_exits_2(self, capsys):
         assert main(["--log-level", "LOUD", "table1"]) == 2
         assert "unknown log level" in capsys.readouterr().err
-
-
-class TestMultiStore:
-    def test_sweep_reads_replica_and_writes_primary(self, tmp_path, capsys):
-        replica = str(tmp_path / "agent")
-        primary = str(tmp_path / "coord")
-        seeded = sweep_output(capsys, ["--store", replica])
-        merged = sweep_output(
-            capsys, ["--store", primary, "--store", replica]
-        )
-        assert "cache: 2 hit(s), 0 miss(es)" in merged
-        assert digest_line(merged) == digest_line(seeded)
-        from repro.store import RunStore
-
-        assert RunStore(primary).keys() == []  # replica served every hit
-        assert len(RunStore(primary).list_runs()) == 1  # manifest is primary's
-
-    def test_runs_list_merges_stores(self, tmp_path, capsys):
-        first = str(tmp_path / "a")
-        second = str(tmp_path / "b")
-        sweep_output(capsys, ["--store", first])
-        sweep_output(capsys, ["--store", second])
-        assert main(["runs", "list", "--store", first, "--store", second]) == 0
-        out = capsys.readouterr().out
-        assert "2 run(s)" in out
-
-    def test_serve_query_merges_stores(self, tmp_path, capsys):
-        first = str(tmp_path / "a")
-        second = str(tmp_path / "b")
-        sweep_output(capsys, ["--store", first])
-        sweep_output(capsys, ["--store", second])
-        assert main(
-            ["serve", "query", "--store", first, "--store", second]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "2 match(es)" in out or "2 run(s)" in out
-
-
-class TestFabricCLI:
-    def test_status_without_coordinator_exits_2(self, capsys):
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        assert main(["fabric", "agents", "--port", str(port)]) == 2
-        assert "no fabric coordinator" in capsys.readouterr().err
-
-    def test_sweep_fabric_zero_agents_degrades(self, capsys):
-        out = sweep_output(capsys, ["--fabric", "--fabric-port", "0",
-                                    "--fabric-wait", "0.2"])
-        assert "fabric:" in out
-        assert "0 agent(s) seen" in out

@@ -67,7 +67,7 @@ class TestImportBudget:
         assert "repro.__main__" in modules  # the probe really saw the import
         assert_not_loaded(modules, (
             "numpy", "scipy", "networkx", "repro.simulation",
-            "repro.routing", "repro.fabric", "concurrent.futures.process",
+            "repro.routing", "concurrent.futures.process",
         ))
 
     @pytest.mark.parametrize("argv", [

@@ -146,6 +146,7 @@ class TestFaultPlanGrammar:
             "kill@1x0",  # zero attempts
             "kill@1-4:0",  # zero stride
             "kill@a-b",
+            "agent-kill@0",  # a fault kind that no longer exists
         ],
     )
     def test_malformed_specs_rejected(self, spec):

@@ -188,7 +188,10 @@ class TestRunIndex:
         serial = manifest("run-a")
         pooled = manifest(
             "run-b",
-            config={**serial["config"], "workers": 8, "batch_trials": 64},
+            config={
+                **serial["config"], "workers": 8, "batch_trials": 64,
+                "executor": "fabric",
+            },
         )
         other_scheme = manifest(
             "run-c", config={**serial["config"], "scheme": "B"}

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity
-from repro.parallel import SweepExecutor, TrialRunner, run_trials
+from repro.parallel import TrialRunner, run_trials
 
 
 def _draw_trial(rng, payload):
@@ -104,21 +104,9 @@ class TestRunValuesAndStats:
         assert stats.elapsed_seconds > 0
         assert stats.trials_per_second > 0
         assert "2 workers" in stats.summary()
-
-    def test_summary_names_the_executor_that_ran(self):
-        class Relay(SweepExecutor):
-            name = "relay"
-
-            def execute(self, runner, job):
-                return runner._execute_local(job, job.units)
-
         inline = TrialRunner(_sum_trial)
         inline.run([1.0] * 2, seed=0)
         assert inline.last_stats.summary().endswith("trials/s, inline)")
-        relayed = TrialRunner(_sum_trial, executor=Relay())
-        relayed.run([1.0] * 2, seed=0)
-        assert relayed.last_stats.executor == "relay"
-        assert relayed.last_stats.summary().endswith("trials/s, relay)")
 
     def test_empty_payloads(self):
         runner = TrialRunner(_sum_trial)
