@@ -29,7 +29,8 @@ persistent, content-addressed store (see ``repro.store``): re-invoking the
 same command -- including after an interruption -- replays the journaled
 trials and only executes the missing ones, with the final digest
 bit-identical to an uninterrupted cold run.  ``--no-cache`` forces
-recomputation while still refreshing the journal.
+recomputation while still refreshing the journal.  Every command reads
+and writes one store: a second ``--store`` is a usage error (exit 2).
 
 Observability (see ``repro.observability``): the global ``--log-level`` /
 ``--log-json`` flags configure the package-wide structured logger on
@@ -164,9 +165,19 @@ def _workers(args):
     return TrialRunner.resolve_workers(args.workers)
 
 
+class _OneStore(argparse.Action):
+    """``--store DIR`` that refuses a second ``--store`` instead of letting
+    the last one silently replace the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} takes one directory; got it twice")
+        setattr(namespace, self.dest, values)
+
+
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--store", default=None, metavar="DIR",
+        "--store", action=_OneStore, default=None, metavar="DIR",
         help="journal completed trials into this persistent store and "
         "replay any already journaled there (resumable runs)",
     )
@@ -678,8 +689,8 @@ def main(argv=None) -> int:
     cmd.add_argument("action", choices=["list", "show", "gc"])
     cmd.add_argument("run_id", nargs="?", default=None,
                      help="manifest id (or unambiguous prefix) for 'show'")
-    cmd.add_argument("--store", default=None, metavar="DIR",
-                     help="store directory (default: results)")
+    cmd.add_argument("--store", action=_OneStore, default=None,
+                     metavar="DIR", help="store directory (default: results)")
     cmd.add_argument("--keep", type=int, default=None, metavar="N",
                      help="gc: keep only the newest N run manifests")
     cmd.add_argument(
@@ -699,8 +710,8 @@ def main(argv=None) -> int:
         "serve", help="query stored runs, detect regressions, build reports"
     )
     cmd.add_argument("action", choices=["query", "regress", "report"])
-    cmd.add_argument("--store", default=None, metavar="DIR",
-                     help="store directory (default: results)")
+    cmd.add_argument("--store", action=_OneStore, default=None,
+                     metavar="DIR", help="store directory (default: results)")
     cmd.add_argument("--command", dest="command_filter", default=None,
                      metavar="NAME",
                      help="filter: experiment command (sweep, figure1, ...)")

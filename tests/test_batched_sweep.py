@@ -106,6 +106,14 @@ class TestRecordedManifest:
         assert set(run["config"]) == self.SWEEP_CONFIG_KEYS
         assert run["config"]["batch_trials"] == 3
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_per_trial_config_records_the_same_keys(self, tmp_path, workers):
+        serial_sweep(workers=workers, store=tmp_path)
+        (run,) = RunStore(tmp_path).list_runs()
+        assert set(run["config"]) == self.SWEEP_CONFIG_KEYS
+        assert run["config"]["workers"] == workers
+        assert run["config"]["batch_trials"] is None
+
     def test_interrupted_and_completed_runs_record_one_config(self, tmp_path):
         with pytest.raises(KeyboardInterrupt):
             serial_sweep(batch_trials=2, store=_InterruptingStore(tmp_path))

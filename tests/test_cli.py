@@ -141,6 +141,38 @@ class TestRuns:
         assert main(["serve", "report", "--store", missing]) == 2
         assert not (tmp_path / "missing").exists()
 
+    def test_show_on_a_missing_store_names_the_run(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert main(["runs", "show", "abc", "--store", missing]) == 2
+        assert "no stored run matches 'abc'" in capsys.readouterr().err
+
+    def test_regress_on_a_missing_store_is_clean(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert main(["serve", "regress", "--store", missing]) == 0
+        assert capsys.readouterr().out == (
+            "no regressions across 0 compared families (0 run(s))\n"
+        )
+        assert not (tmp_path / "missing").exists()
+
+    def test_report_on_a_missing_store_needs_out(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert main(["serve", "report", "--store", missing]) == 2
+        assert "pass --out" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_report_on_a_missing_store_writes_an_empty_report_to_out(
+        self, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing")
+        out_path = tmp_path / "elsewhere" / "report.json"
+        assert main([
+            "serve", "report", "--store", missing, "--out", str(out_path),
+        ]) == 0
+        report = json.loads(out_path.read_text())
+        assert report["total_runs"] == 0
+        assert report["regressions"]["ok"] is True
+        assert not (tmp_path / "missing").exists()
+
     def test_show_dumps_manifest(self, tmp_path, capsys):
         import json
 
@@ -388,3 +420,93 @@ class TestObservability:
     def test_unknown_log_level_exits_2(self, capsys):
         assert main(["--log-level", "LOUD", "table1"]) == 2
         assert "unknown log level" in capsys.readouterr().err
+
+
+class TestOneStorePerCommand:
+    @pytest.mark.parametrize("argv", [
+        SWEEP_ARGS,
+        ["reproduce", "--quick"],
+        ["runs", "list"],
+        ["runs", "gc"],
+        ["serve", "query"],
+        ["serve", "report"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_second_store_is_a_usage_error(self, tmp_path, capsys, argv):
+        first, second = tmp_path / "a", tmp_path / "b"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--store", str(first), "--store", str(second)])
+        assert exc.value.code == 2
+        assert "--store takes one directory" in capsys.readouterr().err
+        assert not first.exists() and not second.exists()
+
+
+class TestRemovedFabricSurface:
+    @pytest.mark.parametrize("extra", [
+        ["--fabric"],
+        ["--fabric-port", "0"],
+        ["--fabric-wait", "0.2"],
+        ["--min-agents", "1"],
+        ["--shard-size", "4"],
+    ], ids=lambda extra: extra[0])
+    def test_sweep_rejects_fabric_options(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(SWEEP_ARGS + extra)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
+
+    def test_fabric_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fabric", "agents"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fabric'" in capsys.readouterr().err
+
+
+class TestResilienceFlags:
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]],
+                             ids=["inline", "pool"])
+    def test_injected_kill_heals_to_the_clean_digest(self, capsys, workers):
+        clean = sweep_output(capsys, workers)
+        healed = sweep_output(capsys, workers + ["--inject-faults", "kill@0"])
+        assert digest_line(healed) == digest_line(clean)
+        assert "failures=0 retries=0 " in clean
+        assert "failures=0 retries=0 " not in healed
+        assert "failures=0 retries=" in healed
+
+    def test_backoff_between_attempts_keeps_the_digest(self, capsys):
+        clean = sweep_output(capsys, [])
+        healed = sweep_output(
+            capsys, ["--inject-faults", "raise@1", "--backoff", "0.01"]
+        )
+        assert digest_line(healed) == digest_line(clean)
+        assert "failures=0 retries=1 " in healed
+
+    @pytest.mark.parametrize("spec", ["agent-kill@0", "agent-hang@0"])
+    def test_agent_fault_kinds_are_refused(self, capsys, spec):
+        assert main(SWEEP_ARGS + ["--inject-faults", spec]) == 2
+        err = capsys.readouterr().err
+        assert "invalid --inject-faults spec" in err
+        assert "unknown fault kind" in err
+
+    def test_failure_without_retries_exits_1(self, capsys):
+        assert main(SWEEP_ARGS + ["--inject-faults", "raise@0",
+                                  "--retries", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "trial failed for good" in err
+        assert "--min-success" in err
+
+    def test_tolerated_failure_records_a_partial_run(self, tmp_path, capsys):
+        store = str(tmp_path / "results")
+        out = sweep_output(capsys, [
+            "--inject-faults", "raise@0", "--retries", "0",
+            "--min-success", "0.5", "--store", store,
+        ])
+        assert "failures=1 " in out
+        assert main(["serve", "query", "--store", store, "--json"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["status"] == "partial"
+        assert record["digest"] == digest_line(out).split()[1]
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5"])
+    def test_min_success_out_of_range_exits_2(self, capsys, fraction):
+        assert main(SWEEP_ARGS + ["--min-success", fraction]) == 2
+        assert "min_success_fraction" in capsys.readouterr().err

@@ -147,11 +147,15 @@ class TestFaultPlanGrammar:
             "kill@1-4:0",  # zero stride
             "kill@a-b",
             "agent-kill@0",  # a fault kind that no longer exists
+            "agent-hang@0",
         ],
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(FaultSpecError):
             FaultPlan.parse(spec)
+
+    def test_fault_kinds_are_the_in_process_ones(self):
+        assert FAULT_KINDS == ("raise", "hang", "kill", "nan", "io")
 
     def test_all_kinds_parse(self):
         for kind in FAULT_KINDS:

@@ -288,6 +288,36 @@ class TestRunIndex:
         assert rec.parameter("missing") is None
 
 
+class TestMissingStore:
+    """Reading a store directory that does not exist: every serve entry
+    point sees zero runs and leaves the path uncreated."""
+
+    def test_index_refresh_is_empty_and_writes_nothing(self, tmp_path):
+        index = RunIndex(tmp_path / "missing")
+        stats = index.refresh()
+        assert (stats.manifests, stats.parsed, stats.removed) == (0, 0, 0)
+        assert len(index) == 0 and index.records() == []
+        with pytest.raises(KeyError, match="no stored run"):
+            index.resolve("2026")
+        assert not (tmp_path / "missing").exists()
+
+    def test_query_matches_nothing(self, tmp_path):
+        assert run_query(RunIndex(tmp_path / "missing")) == []
+        assert not (tmp_path / "missing").exists()
+
+    def test_regression_scan_is_clean(self, tmp_path):
+        report = detect_regressions(RunIndex(tmp_path / "missing"))
+        assert report.ok
+        assert (report.families, report.runs, report.singleton_runs) == (0, 0, 0)
+        assert not (tmp_path / "missing").exists()
+
+    def test_report_counts_no_runs(self, tmp_path):
+        report = build_report(RunIndex(tmp_path / "missing"), QuerySpec())
+        assert report["total_runs"] == 0
+        assert report["families"] == []
+        assert not (tmp_path / "missing").exists()
+
+
 class TestQuery:
     def populate(self, tmp_path):
         write_manifest(tmp_path, "run-a", created_ts=100.0)

@@ -280,6 +280,40 @@ class TestGC:
         assert fresh.get(survivor_key) is not None
 
 
+class TestCopiedStore:
+    """A store is a plain directory: a copy of it (say, synced from another
+    host) serves the same trials and manifests as the original."""
+
+    def _sweep(self, store):
+        from repro.experiments.scaling import sweep_capacity
+
+        return sweep_capacity(
+            PARAMS, [60, 120], scheme="A", trials=2, seed=3, store=store
+        )
+
+    def test_copy_replays_every_trial(self, tmp_path):
+        import shutil
+
+        original = self._sweep(tmp_path / "original")
+        shutil.copytree(tmp_path / "original", tmp_path / "copy")
+        replay = self._sweep(tmp_path / "copy")
+        assert replay.digest() == original.digest()
+        assert replay.stats.cache_hits == 4
+        assert len(RunStore(tmp_path / "copy").list_runs()) == 2
+        assert len(RunStore(tmp_path / "original").list_runs()) == 1
+
+    def test_copy_resolves_the_same_run_ids(self, tmp_path):
+        import shutil
+
+        store = RunStore(tmp_path / "original")
+        run_id = store.record_run("sweep", digest="d" * 64)
+        store.close()
+        shutil.copytree(tmp_path / "original", tmp_path / "copy")
+        copy = RunStore(tmp_path / "copy")
+        assert copy.load_run(run_id[:12]) == store.load_run(run_id)
+        assert copy.serve_index().resolve(run_id[:12]) == run_id
+
+
 class TestOpenStore:
     def test_none_passthrough(self):
         assert open_store(None) is None

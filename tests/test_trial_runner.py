@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity
-from repro.parallel import TrialRunner, run_trials
+from repro.parallel import TrialRunner, TrialStats, run_trials
 
 
 def _draw_trial(rng, payload):
@@ -108,6 +108,24 @@ class TestRunValuesAndStats:
         inline.run([1.0] * 2, seed=0)
         assert inline.last_stats.summary().endswith("trials/s, inline)")
 
+    def test_summary_marks_a_degraded_pool(self):
+        stats = TrialStats(
+            trials=4, failures=1, retries=3, elapsed_seconds=1.0, workers=2,
+            pool_rebuilds=3, degraded=True,
+        )
+        assert stats.summary() == (
+            "trials=4 failures=1 retries=3 pool_rebuilds=3 elapsed=1.00s "
+            "(4.0 trials/s, 2 workers, degraded to serial)"
+        )
+
+    def test_trials_run_inline_or_on_the_runner_pool_only(self):
+        with pytest.raises(TypeError, match="executor"):
+            TrialRunner(_sum_trial, executor=object())
+        runner = TrialRunner(_sum_trial, workers=2)
+        assert not hasattr(runner, "executor")
+        with pytest.raises(TypeError, match="seed_seqs"):
+            runner.run([1.0], seed=0, seed_seqs=[np.random.SeedSequence(0)])
+
     def test_empty_payloads(self):
         runner = TrialRunner(_sum_trial)
         assert runner.run([]) == []
@@ -143,3 +161,18 @@ class TestSweepParallelEquivalence:
         np.testing.assert_array_equal(serial.rates, parallel.rates)
         assert parallel.stats is not None
         assert parallel.stats.trials == 4
+
+    @pytest.mark.parametrize("scheme", ["B", "C", "static", "optimal"])
+    def test_every_scheme_matches_inline_on_the_pool(self, scheme):
+        params = NetworkParameters(
+            alpha="1/4", cluster_exponent=1, bs_exponent="1/2",
+            backbone_exponent=1,
+        )
+        serial = sweep_capacity(
+            params, [100, 200], scheme=scheme, trials=2, seed=11
+        )
+        pooled = sweep_capacity(
+            params, [100, 200], scheme=scheme, trials=2, seed=11, workers=2
+        )
+        assert pooled.digest() == serial.digest()
+        assert pooled.stats.workers == 2 and serial.stats.workers is None
