@@ -195,18 +195,16 @@ def _store(args):
     return open_store(args.store, use_cache=not args.no_cache)
 
 
-def _existing_store(args):
-    """``(directory, RunStore or None)`` of a ``runs``/``serve`` command.
+def _store_dir(args) -> str:
+    """The ``--store`` directory of a ``runs``/``serve`` command.
 
-    The directory defaults to ``results``.  These commands never create a
-    store, so a missing directory yields ``None`` and reads as empty.
+    It defaults to ``results``.  These commands never create it: a missing
+    directory reads as empty, and an existing file is a store error.
     """
-    from .store import RunStore
-
     store_dir = args.store or "results"
-    if not os.path.exists(store_dir):
-        return store_dir, None
-    return store_dir, RunStore(store_dir)
+    if os.path.exists(store_dir) and not os.path.isdir(store_dir):
+        raise NotADirectoryError(f"{store_dir!r} is not a directory")
+    return store_dir
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
@@ -322,17 +320,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_runs(args) -> int:
     """Inspect a persistent experiment store (list / show / gc)."""
+    from .serve.index import RunIndex
+    from .store import RunStore
     from .utils.tables import render_table
 
-    store_dir, store = _existing_store(args)
+    store_dir = _store_dir(args)
     if args.action == "list":
         # rewired through the serve index: one stat per manifest instead of
         # one JSON parse, and newest-first by the created_ts epoch float.
-        records = []
-        if store is not None:
-            index = store.serve_index()
-            index.refresh()
-            records = index.records()
+        index = RunIndex(store_dir)
+        index.refresh()
+        records = index.records()
         if not records:
             print(f"no runs recorded in {store_dir}")
             return 0
@@ -357,7 +355,9 @@ def _cmd_runs(args) -> int:
              "fresh t/s", "digest", "git"],
             rows,
         ))
-        print(f"{len(records)} run(s), {len(store)} journaled trial(s)")
+        # records came from <store>/runs, so opening the store creates nothing
+        journaled = len(RunStore(store_dir))
+        print(f"{len(records)} run(s), {journaled} journaled trial(s)")
         return 0
     if args.action == "show":
         if not args.run_id:
@@ -366,9 +366,9 @@ def _cmd_runs(args) -> int:
         import json
 
         try:
-            if store is None:
+            if not os.path.isdir(os.path.join(store_dir, RunStore.RUNS_DIR)):
                 raise KeyError(f"no stored run matches {args.run_id!r}")
-            manifest = store.load_run(args.run_id)
+            manifest = RunStore(store_dir).load_run(args.run_id)
         except KeyError as error:
             print(str(error), file=sys.stderr)
             return 2
@@ -377,9 +377,10 @@ def _cmd_runs(args) -> int:
     if args.action == "gc":
         from .store import GCStats
 
-        if store is None:
+        if not os.path.isdir(store_dir):
             print(GCStats(0, 0, 0).summary())
             return 0
+        store = RunStore(store_dir)
         print(store.gc(keep=args.keep, drop_orphans=args.drop_orphans).summary())
         if store.corrupt_path.exists():
             print(f"quarantine sidecar: {store.corrupt_path}")
@@ -427,9 +428,9 @@ def _cmd_serve(args) -> int:
     from .serve.index import RunIndex
     from .utils.tables import render_table
 
-    store_dir, store = _existing_store(args)
+    store_dir = _store_dir(args)
     # a missing store's index reads as empty and writes nothing
-    index = RunIndex(store_dir) if store is None else store.serve_index()
+    index = RunIndex(store_dir)
     spec = _serve_spec(args)
 
     if args.action == "query":
@@ -483,7 +484,7 @@ def _cmd_serve(args) -> int:
         )
         out = args.out
         if out is None:
-            if store is None:
+            if not os.path.isdir(store_dir):
                 print(
                     f"no store at {store_dir}: pass --out to write the "
                     "report elsewhere",
@@ -491,7 +492,7 @@ def _cmd_serve(args) -> int:
                 )
                 return 2
             suffix = "html" if args.format != "json" else "json"
-            out = str(store.root / "serve" / f"report.{suffix}")
+            out = os.path.join(store_dir, "serve", f"report.{suffix}")
         path = write_report(report, out, fmt=args.format)
         print(report["summary"])
         print(f"wrote {path}")

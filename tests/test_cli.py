@@ -2,6 +2,8 @@
 
 import json
 import logging
+import pathlib
+import shutil
 
 import pytest
 
@@ -141,6 +143,38 @@ class TestRuns:
         assert main(["serve", "report", "--store", missing]) == 2
         assert not (tmp_path / "missing").exists()
 
+    def test_read_commands_write_nothing_into_a_plain_directory(
+        self, tmp_path, capsys
+    ):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        for argv in [["runs", "list"], ["serve", "query"],
+                     ["serve", "regress"]]:
+            assert main(argv + ["--store", str(plain)]) == 0
+        assert main(["runs", "show", "abc", "--store", str(plain)]) == 2
+        capsys.readouterr()
+        assert list(plain.iterdir()) == []
+
+    def test_report_into_a_plain_directory_adds_only_the_report(
+        self, tmp_path, capsys
+    ):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert main(["serve", "report", "--store", str(plain),
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        assert [path.name for path in plain.iterdir()] == ["serve"]
+        report = json.loads((plain / "serve" / "report.json").read_text())
+        assert report["total_runs"] == 0
+
+    def test_list_counts_runs_without_a_journal(self, tmp_path, capsys):
+        store = self.seed_store(tmp_path, capsys)
+        manifests_only = tmp_path / "manifests-only"
+        shutil.copytree(pathlib.Path(store) / "runs", manifests_only / "runs")
+        assert main(["runs", "list", "--store", str(manifests_only)]) == 0
+        assert "1 run(s), 0 journaled trial(s)" in capsys.readouterr().out
+        assert not (manifests_only / "trials.jsonl").exists()
+
     def test_show_on_a_missing_store_names_the_run(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         assert main(["runs", "show", "abc", "--store", missing]) == 2
@@ -202,6 +236,22 @@ class TestRuns:
         warm = sweep_output(capsys, ["--store", store])
         assert "cache: 2 hit(s)" in warm
 
+    def test_gc_keep_then_drop_orphans(self, tmp_path, capsys):
+        store = str(tmp_path / "results")
+        for seed in ["3", "4"]:
+            sweep_output(capsys, ["--store", store, "--seed", seed])
+        assert main(["runs", "gc", "--keep", "1", "--store", store]) == 0
+        assert capsys.readouterr().out == (
+            "removed 1 run manifest(s); journal: 4 entries kept, 0 dropped\n"
+        )
+        assert main(["runs", "gc", "--keep", "1", "--drop-orphans",
+                     "--store", store]) == 0
+        assert capsys.readouterr().out == (
+            "removed 0 run manifest(s); journal: 2 entries kept, 2 dropped\n"
+        )
+        assert main(["runs", "list", "--store", store]) == 0
+        assert "1 run(s), 2 journaled trial(s)" in capsys.readouterr().out
+
     def test_sweep_has_no_backend_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(SWEEP_ARGS + ["--batch-trials", "2", "--backend", "numpy64"])
@@ -211,8 +261,9 @@ class TestRuns:
     def test_store_path_is_a_file_errors_cleanly(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
-        assert main(SWEEP_ARGS + ["--store", str(blocker)]) == 2
-        assert "store error" in capsys.readouterr().err
+        for argv in [SWEEP_ARGS, ["runs", "list"], ["serve", "query"]]:
+            assert main(argv + ["--store", str(blocker)]) == 2
+            assert "store error" in capsys.readouterr().err
 
 
 class TestServe:
@@ -313,6 +364,14 @@ class TestServe:
         assert "wrote" in out
         page = (tmp_path / "results" / "serve" / "report.html").read_text()
         assert page.startswith("<!DOCTYPE html>")
+
+    def test_report_default_json_path_in_store(self, tmp_path, capsys):
+        store = self.seed_store(tmp_path, capsys, runs=1)
+        assert main(["serve", "report", "--store", store,
+                     "--format", "json"]) == 0
+        path = tmp_path / "results" / "serve" / "report.json"
+        assert capsys.readouterr().out.endswith(f"wrote {path}\n")
+        assert json.loads(path.read_text())["total_runs"] == 1
 
     def test_regress_counts_single_run_families(self, tmp_path, capsys):
         store = self.seed_store(tmp_path, capsys, runs=1)
@@ -440,27 +499,6 @@ class TestOneStorePerCommand:
         assert not first.exists() and not second.exists()
 
 
-class TestRemovedFabricSurface:
-    @pytest.mark.parametrize("extra", [
-        ["--fabric"],
-        ["--fabric-port", "0"],
-        ["--fabric-wait", "0.2"],
-        ["--min-agents", "1"],
-        ["--shard-size", "4"],
-    ], ids=lambda extra: extra[0])
-    def test_sweep_rejects_fabric_options(self, capsys, extra):
-        with pytest.raises(SystemExit) as exc:
-            main(SWEEP_ARGS + extra)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
-
-    def test_fabric_subcommand_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fabric", "agents"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'fabric'" in capsys.readouterr().err
-
-
 class TestResilienceFlags:
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]],
                              ids=["inline", "pool"])
@@ -479,13 +517,6 @@ class TestResilienceFlags:
         )
         assert digest_line(healed) == digest_line(clean)
         assert "failures=0 retries=1 " in healed
-
-    @pytest.mark.parametrize("spec", ["agent-kill@0", "agent-hang@0"])
-    def test_agent_fault_kinds_are_refused(self, capsys, spec):
-        assert main(SWEEP_ARGS + ["--inject-faults", spec]) == 2
-        err = capsys.readouterr().err
-        assert "invalid --inject-faults spec" in err
-        assert "unknown fault kind" in err
 
     def test_failure_without_retries_exits_1(self, capsys):
         assert main(SWEEP_ARGS + ["--inject-faults", "raise@0",

@@ -154,9 +154,6 @@ class TestFaultPlanGrammar:
         with pytest.raises(FaultSpecError):
             FaultPlan.parse(spec)
 
-    def test_fault_kinds_are_the_in_process_ones(self):
-        assert FAULT_KINDS == ("raise", "hang", "kill", "nan", "io")
-
     def test_all_kinds_parse(self):
         for kind in FAULT_KINDS:
             assert FaultPlan.parse(f"{kind}@0").clauses[0].kind == kind

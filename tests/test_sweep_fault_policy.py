@@ -51,8 +51,11 @@ def _faults(spec, max_attempts=2, min_success=1.0):
 
 
 class TestHealedFaults:
-    @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("kind", ["raise", "kill", "nan"])
+    # a pooled kill breaks the pool: see the two tests below
+    @pytest.mark.parametrize("kind, workers", [
+        ("raise", None), ("kill", None), ("nan", None),
+        ("raise", 2), ("nan", 2),
+    ])
     def test_one_retry_heals_to_the_clean_digest(self, clean, kind, workers):
         # a kill runs as a raise inline: there is no worker to kill
         healed = _sweep(workers, _faults(f"{kind}@1"))
@@ -60,13 +63,36 @@ class TestHealedFaults:
         np.testing.assert_array_equal(healed.rates, clean.rates)
         assert healed.stats.failures == 0
         assert healed.stats.workers == workers
-        if kind == "kill" and workers:
-            # the broken pool also resubmits the innocent units in flight
-            assert healed.stats.pool_rebuilds == 1
-            assert healed.stats.retries >= 1
-        else:
-            assert healed.stats.pool_rebuilds == 0
-            assert healed.stats.retries == 1
+        assert healed.stats.pool_rebuilds == 0
+        assert healed.stats.retries == 1
+
+    def test_pooled_kill_heals_with_one_rebuild(self, clean):
+        healed = _sweep(2, _faults("kill@1"))
+        assert healed.digest() == clean.digest()
+        np.testing.assert_array_equal(healed.rates, clean.rates)
+        assert healed.stats.failures == 0
+        assert healed.stats.pool_rebuilds == 1
+
+    def test_crash_storm_degrades_to_serial_and_heals(self, clean):
+        storm = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=2),
+            fault_plan=FaultPlan.parse("kill@*"),
+            max_rebuilds=1,
+        )
+        healed = _sweep(2, storm)
+        assert healed.digest() == clean.digest()
+        assert healed.stats.degraded
+        assert healed.stats.pool_rebuilds == 1
+        assert healed.stats.failures == 0
+        assert healed.stats.summary().endswith("2 workers, degraded to serial)")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="TrialRunner._run_pool charges a retry to every unit in "
+        "flight when the pool breaks, so one kill@1 reports retries=4",
+    )
+    def test_pooled_kill_charges_one_retry(self):
+        assert _sweep(2, _faults("kill@1")).stats.retries == 1
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_io_fault_keeps_the_digest_but_not_the_journal_line(

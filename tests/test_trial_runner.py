@@ -118,14 +118,6 @@ class TestRunValuesAndStats:
             "(4.0 trials/s, 2 workers, degraded to serial)"
         )
 
-    def test_trials_run_inline_or_on_the_runner_pool_only(self):
-        with pytest.raises(TypeError, match="executor"):
-            TrialRunner(_sum_trial, executor=object())
-        runner = TrialRunner(_sum_trial, workers=2)
-        assert not hasattr(runner, "executor")
-        with pytest.raises(TypeError, match="seed_seqs"):
-            runner.run([1.0], seed=0, seed_seqs=[np.random.SeedSequence(0)])
-
     def test_empty_payloads(self):
         runner = TrialRunner(_sum_trial)
         assert runner.run([]) == []
